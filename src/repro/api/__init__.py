@@ -177,9 +177,13 @@ def evaluate(
     clip:
         Canonical weight threshold for estimators that support it.
     diagnostics:
-        Compute the overlap/randomness section.  Disable on hot paths
-        (e.g. inside per-seed experiment loops) to skip that extra pass;
-        the report's ``overlap`` is then ``None``.
+        Compute the overlap section with
+        :func:`~repro.core.diagnostics.overlap_report`: one columnar pass
+        over the trace's chunks (a sharded trace is never materialised)
+        through the batch policy and propensity APIs, typically a small
+        fraction of the estimate itself.  On a reader opened with
+        ``on_corruption="quarantine"`` it covers the surviving records,
+        like the estimate.  ``False`` leaves ``overlap`` as ``None``.
     bootstrap_replicates:
         0 disables the bootstrap section.
     registry:
@@ -264,7 +268,9 @@ def compare(
     instances, mirroring the old ``evaluate_policy`` keyword.  *clip* is
     forwarded to the named estimators that support it (configs carry
     their own options instead).  *policy* accepts the same spec forms as
-    :func:`evaluate`.
+    :func:`evaluate`, and *diagnostics* behaves as there: one columnar
+    pass over the trace's chunks, over the survivors of a quarantining
+    reader.
     """
     registry = registry or default_registry
     if len(trace) == 0:

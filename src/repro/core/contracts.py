@@ -23,6 +23,9 @@ same contracts with the same exceptions:
   :class:`QuarantineReport` (per-reason counts, never silent) instead of
   hard-failing on the first bad record — the systems-layer analogue of
   DR's graceful degradation.
+* :func:`reconcile_shortfall` — a chunked read that streamed fewer
+  records than ``len(trace)`` is accepted only when the reader's
+  quarantine accounting covers the gap exactly.
 
 All failures raise :mod:`repro.errors` exceptions (never bare
 ``assert``, which vanishes under ``python -O``); the static linter in
@@ -38,7 +41,7 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.types import Trace, TraceColumns, TraceRecord
-from repro.errors import EstimatorError, PropensityError, TraceError
+from repro.errors import EstimatorError, PropensityError, StoreError, TraceError
 from repro.obs.spans import increment
 
 #: Tolerance for propensities marginally above 1.0 due to float rounding
@@ -439,3 +442,38 @@ def check_trace_columns(
             f"{propensities[index]}, outside (0, 1]"
         )
     return columns
+
+
+def reconcile_shortfall(trace, streamed: int) -> int:
+    """Reconcile a chunked read of *streamed* records against ``len(trace)``.
+
+    A reader opened with ``on_corruption="quarantine"`` skips shards it
+    classified as corrupt, so its stream may be shorter than the trace.
+    That shortfall is legitimate only when the reader's own accounting
+    (``quarantined_records()``) covers it exactly.  Returns the number of
+    quarantined records skipped (0 for a complete read).
+
+    Raises
+    ------
+    StoreError
+        If the shortfall is unaccounted — a corrupt or racing shard
+        directory — or when quarantine left no records at all.
+    """
+    n = len(trace)
+    if streamed == n:
+        return 0
+    counter = getattr(trace, "quarantined_records", None)
+    skipped = int(counter()) if callable(counter) else 0
+    if streamed + skipped != n:
+        raise StoreError(
+            f"streaming read {streamed} records from a trace reporting "
+            f"len() == {n}"
+            + (f" ({skipped} quarantined)" if skipped else "")
+            + "; the shard directory is corrupt or was rewritten mid-read"
+        )
+    if streamed == 0:
+        raise StoreError(
+            f"every record of the trace ({skipped} in quarantined shards) was "
+            "lost to corruption; nothing to estimate — run `repro repair`"
+        )
+    return skipped

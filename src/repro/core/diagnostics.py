@@ -9,15 +9,18 @@ those checks and renders them as a human-readable report.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.estimators.base import importance_weights, weight_diagnostics
+from repro.core.contracts import reconcile_shortfall
+from repro.core.estimators.base import checked_importance_ratio, weight_diagnostics
 from repro.core.policy import Policy
 from repro.core.propensity import PropensityModel, resolve_propensity_source
 from repro.core.types import Decision, Trace
+from repro.errors import PropensityError
 
 
 @dataclass(frozen=True)
@@ -27,7 +30,7 @@ class OverlapReport:
     Attributes
     ----------
     n:
-        Trace length.
+        Records covered (the survivors, on a quarantining reader).
     ess:
         Kish effective sample size of the importance weights; ``ess << n``
         is the high-variance regime of §2.2.2.
@@ -88,29 +91,35 @@ def overlap_report(
     ess_warning_fraction: float = 0.1,
     weight_warning: float = 50.0,
 ) -> OverlapReport:
-    """Compute an :class:`OverlapReport` for evaluating *new_policy* on *trace*."""
-    source = resolve_propensity_source(trace, old_policy, propensity_model)
-    weights = importance_weights(new_policy, trace, source)
-    stats = weight_diagnostics(weights)
-    propensities = np.asarray(
-        [source.propensity(record, index) for index, record in enumerate(trace)]
-    )
-    matches = sum(
-        1
-        for record in trace
-        if record.decision == new_policy.greedy_decision(record.context)
-    )
-    coverage: Dict[Decision, int] = {}
-    for record in trace:
-        coverage[record.decision] = coverage.get(record.decision, 0) + 1
+    """Compute an :class:`OverlapReport` for evaluating *new_policy* on *trace*.
 
+    One pass over chunk columns (a streaming trace is never materialised),
+    reduced once so every chunking agrees; a quarantining reader's accounted
+    shortfall is reported over the surviving records.
+    """
+    source = resolve_propensity_source(trace, old_policy, propensity_model)
+    old, new = np.empty(len(trace)), np.empty(len(trace))
+    matches, coverage, n = 0, Counter(), 0
+    for chunk in trace.iter_chunks() if hasattr(trace, "iter_chunks") else (trace,):
+        columns, stop = chunk.columns(), n + len(chunk)
+        try:
+            old[n:stop] = source.propensity_batch(chunk)
+        except PropensityError:  # replay the scalar loop to name the absolute record
+            for index, record in enumerate(chunk):
+                source.propensity(record, n + index)
+            raise
+        new[n:stop] = new_policy.propensity_batch(columns.decisions, columns.contexts)
+        greedy = new_policy.greedy_decision_batch(columns.contexts)
+        matches += sum(decision == best for decision, best in zip(columns.decisions, greedy))
+        coverage.update(columns.decisions)
+        n = stop
+    reconcile_shortfall(trace, n)
+    stats = weight_diagnostics(checked_importance_ratio(new[:n], old[:n]))
     warnings: List[str] = []
-    n = len(trace)
     if stats["ess"] < ess_warning_fraction * n:
         warnings.append(
-            f"effective sample size {stats['ess']:.1f} is below "
-            f"{ess_warning_fraction:.0%} of n={n}; IPS/DR corrections will be "
-            "high-variance (paper §2.2.2)"
+            f"effective sample size {stats['ess']:.1f} is below {ess_warning_fraction:.0%} "
+            f"of n={n}; IPS/DR corrections will be high-variance (paper §2.2.2)"
         )
     if stats["max_weight"] > weight_warning:
         warnings.append(
@@ -119,25 +128,21 @@ def overlap_report(
         )
     if stats["zero_weight_fraction"] > 0.9:
         warnings.append(
-            f"{stats['zero_weight_fraction']:.0%} of records have zero weight "
-            "under the new policy; overlap is nearly empty (paper Fig 5)"
+            f"{stats['zero_weight_fraction']:.0%} of records have zero weight under "
+            "the new policy; overlap is nearly empty (paper Fig 5)"
         )
     if matches == 0:
         warnings.append(
             "no record's logged decision matches the new policy's choice; "
             "matching-style evaluation is impossible (paper Fig 5)"
         )
-
     return OverlapReport(
         n=n,
-        ess=stats["ess"],
         match_fraction=matches / n,
-        max_weight=stats["max_weight"],
-        mean_weight=stats["mean_weight"],
-        zero_weight_fraction=stats["zero_weight_fraction"],
-        min_propensity=float(propensities.min()),
-        decision_coverage=coverage,
+        min_propensity=float(old[:n].min()),
+        decision_coverage=dict(coverage),
         warnings=tuple(warnings),
+        **stats,
     )
 
 
@@ -167,20 +172,14 @@ class RandomnessReport:
 def randomness_report(old_policy: Policy, trace: Trace) -> RandomnessReport:
     """Entropy statistics of *old_policy* over the trace's contexts."""
     entropies = []
-    deterministic = 0
     for record in trace:
         distribution = old_policy.probabilities(record.context)
-        probabilities = np.asarray(
-            [p for p in distribution.values() if p > 0], dtype=float
-        )
-        entropy = float(-(probabilities * np.log(probabilities)).sum())
-        entropies.append(entropy)
-        if entropy < 1e-9:
-            deterministic += 1
+        probabilities = np.asarray([p for p in distribution.values() if p > 0], dtype=float)
+        entropies.append(float(-(probabilities * np.log(probabilities)).sum()))
     entropies_array = np.asarray(entropies)
     return RandomnessReport(
         n=len(trace),
         mean_entropy=float(entropies_array.mean()),
         min_entropy=float(entropies_array.min()),
-        deterministic_fraction=deterministic / len(trace),
+        deterministic_fraction=int((entropies_array < 1e-9).sum()) / len(trace),
     )

@@ -292,6 +292,16 @@ def importance_weights(
     columns = trace.columns()
     old = propensities.propensity_batch(trace)
     new = new_policy.propensity_batch(columns.decisions, columns.contexts)
+    return checked_importance_ratio(new, old)
+
+
+def checked_importance_ratio(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """The validated ratio ``new / old`` of aligned propensity columns.
+
+    The one place importance-weight arithmetic and its
+    :func:`check_weights` contract live, shared by
+    :func:`importance_weights` and the chunked overlap diagnostics.
+    """
     from repro.kernels import get_backend  # local: keeps repro.core import-light
 
     weights = get_backend().importance_ratio(new, old)

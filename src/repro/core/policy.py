@@ -202,6 +202,19 @@ class DeterministicPolicy(Policy):
             values[index] = 1.0 if chosen == decision else 0.0
         return values
 
+    def probability_matrix(self, contexts: Sequence[ClientContext]) -> np.ndarray:
+        # One rule call and one validate per context, as probabilities()
+        # does, then a one-hot row: the base loop's dict scan yields
+        # exactly 1.0 in the chosen decision's column and 0.0 elsewhere.
+        columns = np.empty(len(contexts), dtype=np.intp)
+        for row, context in enumerate(contexts):
+            decision = self._rule(context)
+            self._space.validate(decision)
+            columns[row] = self._space.index_of(decision)
+        matrix = np.zeros((len(contexts), len(self._space)), dtype=float)
+        matrix[np.arange(len(contexts)), columns] = 1.0
+        return matrix
+
 
 class UniformRandomPolicy(Policy):
     """Chooses uniformly at random — the fully randomised logging policy

@@ -745,9 +745,10 @@ class ShardedTrace:
     def columns(self) -> TraceColumns:
         """Dense :class:`TraceColumns` over the whole view (materialises).
 
-        Provided for Trace compatibility — estimators never call it on a
-        sharded trace because :meth:`~repro.core.estimators.base.OffPolicyEstimator.estimate`
-        routes anything with ``iter_chunks`` through the streaming path.
+        Provided for Trace compatibility only: no estimation or
+        diagnostics path calls it.  :meth:`~repro.core.estimators.base.OffPolicyEstimator.estimate`
+        and :func:`~repro.core.diagnostics.overlap_report` read anything
+        with ``iter_chunks`` chunk by chunk instead.
         """
         return self.materialize().columns()
 

@@ -49,7 +49,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.contracts import check_trace_columns
+from repro.core.contracts import check_trace_columns, reconcile_shortfall
 from repro.core.estimators.base import EstimateResult
 from repro.core.policy import Policy
 from repro.core.propensity import (
@@ -422,25 +422,8 @@ def stream_estimate(
             chunks += 1
             observe("store.chunk.records", float(size))
             increment("ope.stream.chunks")
-        skipped = 0
-        if cursor != n:
-            counter = getattr(trace, "quarantined_records", None)
-            skipped = int(counter()) if callable(counter) else 0
-            if cursor + skipped != n:
-                raise StoreError(
-                    f"streaming read {cursor} records from a trace reporting "
-                    f"len() == {n}"
-                    + (f" ({skipped} quarantined)" if skipped else "")
-                    + "; the shard directory is corrupt or was "
-                    "rewritten mid-read"
-                )
+        skipped = reconcile_shortfall(trace, cursor)
         if buffers is None:
-            if skipped:
-                raise StoreError(
-                    f"every record of the trace ({skipped} in quarantined "
-                    "shards) was lost to corruption; nothing to estimate — "
-                    "run `repro repair`"
-                )
             raise EstimatorError("cannot estimate from an empty trace")
         if skipped:
             # Finalize on the surviving prefix of each gathered column:
@@ -461,7 +444,9 @@ def stream_weight_columns(trace, column: str = "rewards") -> np.ndarray:
     Small utility mirroring what the engine does for estimator columns;
     handy for diagnostics scripts that want, say, every reward of a
     sharded trace without materialising records (``column`` is any
-    :class:`~repro.core.types.TraceColumns` float attribute).
+    :class:`~repro.core.types.TraceColumns` float attribute).  A
+    quarantining reader yields the survivors' values, reconciled exactly
+    as in :func:`stream_estimate`.
     """
     n = len(trace)
     out = np.empty(n, dtype=np.float64)
@@ -470,13 +455,5 @@ def stream_weight_columns(trace, column: str = "rewards") -> np.ndarray:
         values: Any = getattr(chunk.columns(), column)
         out[cursor : cursor + len(chunk)] = values
         cursor += len(chunk)
-    if cursor != n:
-        counter = getattr(trace, "quarantined_records", None)
-        skipped = int(counter()) if callable(counter) else 0
-        if cursor + skipped != n:
-            raise StoreError(
-                f"streaming read {cursor} records from a trace reporting "
-                f"len() == {n}"
-            )
-        return out[:cursor]
-    return out
+    reconcile_shortfall(trace, cursor)
+    return out[:cursor]

@@ -22,7 +22,7 @@ from repro.core.models.base import ConstantRewardModel, RewardModel
 from repro.core.models.ensemble import CrossFitModel, EnsembleRewardModel
 from repro.core.models.knn import KNNRewardModel
 from repro.core.models.tabular import TabularMeanModel
-from repro.core.policy import Policy
+from repro.core.policy import DeterministicPolicy, Policy
 from repro.core.propensity import (
     FlooredPropensitySource,
     LoggedPropensitySource,
@@ -30,7 +30,7 @@ from repro.core.propensity import (
     PropensitySource,
 )
 from repro.core.types import ClientContext, Trace, TraceRecord
-from repro.errors import PropensityError
+from repro.errors import PolicyError, PropensityError
 
 DECISIONS = ("a", "b", "c")
 SPACE = core.DecisionSpace(DECISIONS)
@@ -177,6 +177,40 @@ class TestPolicyBatchEquivalence:
         loop = Policy.probability_matrix(policy, columns.contexts)
         assert batch.shape == (len(trace), len(SPACE))
         assert np.array_equal(batch, loop)
+
+    @given(
+        trace=traces(),
+        picks=st.lists(
+            st.sampled_from(DECISIONS + ("off-space",)), min_size=10, max_size=10
+        ),
+    )
+    @settings(deadline=None)
+    def test_deterministic_probability_matrix_matches_loop_default(self, trace, picks):
+        # A context-dependent rule, so rows are one-hot in varying columns;
+        # an off-space pick must fail with the loop's error at the same row.
+        calls = []
+
+        def rule(context):
+            calls.append(context)
+            return picks[2 * int(context["x"]) + (context["isp"] == "isp-1")]
+
+        policy = DeterministicPolicy(SPACE, rule)
+        contexts = trace.columns().contexts
+        outcomes = []
+        for method in (DeterministicPolicy.probability_matrix, Policy.probability_matrix):
+            calls.clear()
+            try:
+                outcomes.append(("ok", method(policy, contexts), len(calls)))
+            except PolicyError as error:
+                outcomes.append(("error", str(error), len(calls)))
+        (kind, batch, batch_calls), (loop_kind, loop, loop_calls) = outcomes
+        assert kind == loop_kind
+        assert batch_calls == loop_calls
+        if kind == "ok":
+            assert batch.dtype == loop.dtype
+            assert np.array_equal(batch, loop)
+        else:
+            assert batch == loop
 
     @given(policy=policies(), trace=traces())
     @settings(deadline=None)
