@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from repro import api
 from repro.api.registry import Registry, default_registry
@@ -286,8 +286,13 @@ class EvaluationService:
 
     # -- routing --------------------------------------------------------
 
-    async def handle(self, request: HttpRequest) -> Tuple[int, Dict[str, Any]]:
+    async def handle(
+        self, request: HttpRequest
+    ) -> Tuple[int, Union[Dict[str, Any], EncodedPayload]]:
         """Answer one parsed request with ``(status, payload)``.
+
+        Evaluate/compare answers are :class:`EncodedPayload`; every
+        other payload is a plain dict.
 
         Never raises for request-level problems: :class:`ServeError`
         and the library's resolution errors are mapped onto 4xx
@@ -363,7 +368,7 @@ class EvaluationService:
 
     async def _answer(
         self, endpoint: str, request: HttpRequest
-    ) -> Tuple[int, Dict[str, Any]]:
+    ) -> Tuple[int, EncodedPayload]:
         parsed = _ParsedRequest(endpoint, _json_body(request))
         increment(f"serve.request.{endpoint}")
         if parsed.trace_ref.name not in self._catalog:
@@ -381,9 +386,7 @@ class EvaluationService:
             increment("serve.cache.bypass")
         if cached is not None:
             increment("serve.cache.hit")
-            return 200, _with_cache_section(
-                cached, hit=True, coalesced=False, bypass=False, key=key
-            )
+            return 200, EncodedPayload(cached, _cache_section(key, hit=True))
         if not parsed.bypass_cache:
             increment("serve.cache.miss")
 
@@ -392,35 +395,33 @@ class EvaluationService:
             increment("serve.coalesced")
             # shield(): a joiner's cancellation must not kill the shared
             # computation out from under the original requester.
-            payload = await asyncio.shield(inflight)
-            return 200, _with_cache_section(
-                payload, hit=False, coalesced=True, bypass=False, key=key
-            )
+            head = await asyncio.shield(inflight)
+            return 200, EncodedPayload(head, _cache_section(key, coalesced=True))
 
         task = asyncio.ensure_future(self._compute_payload(parsed, resolved))
         self._inflight[key] = task
         try:
-            payload = await asyncio.shield(task)
+            head = await asyncio.shield(task)
         finally:
             self._inflight.pop(key, None)
-        self._cache.put(key, payload)
-        return 200, _with_cache_section(
-            payload,
-            hit=False,
-            coalesced=False,
-            bypass=parsed.bypass_cache,
-            key=key,
+        self._cache.put(key, head)
+        return 200, EncodedPayload(
+            head, _cache_section(key, bypass=parsed.bypass_cache)
         )
 
     async def _compute_payload(
         self, parsed: _ParsedRequest, resolved: ResolvedTrace
-    ) -> Dict[str, Any]:
-        """Run the estimation in a worker thread and shape the payload."""
+    ) -> bytes:
+        """Run the estimation in a worker thread; encode the payload once.
+
+        Returns the payload's JSON without its closing ``}``, the head
+        every answer to this request splices its cache section onto.
+        """
         lock = self._trace_locks.setdefault(resolved.name, asyncio.Lock())
         async with lock:
             report = await asyncio.to_thread(self._estimate, parsed, resolved)
         increment(f"serve.{parsed.endpoint}.computed")
-        return {
+        payload = {
             "kind": RESPONSE_KIND,
             "version": RESPONSE_VERSION,
             "endpoint": parsed.endpoint,
@@ -433,6 +434,7 @@ class EvaluationService:
             "fingerprints": parsed.fingerprints(),
             "report": report.to_json_dict(),
         }
+        return json.dumps(payload, allow_nan=False).encode("utf-8")[:-1]
 
     def _estimate(self, parsed: _ParsedRequest, resolved: ResolvedTrace):
         """The blocking estimation call (worker thread)."""
@@ -468,22 +470,22 @@ class EvaluationService:
             )
 
 
-def _with_cache_section(
-    payload: Dict[str, Any], hit: bool, coalesced: bool, bypass: bool, key: str
-) -> Dict[str, Any]:
-    """A shallow copy of *payload* with the per-request cache section.
+class EncodedPayload(NamedTuple):
+    """An evaluate/compare answer: the encoded head plus its cache section.
 
-    The cached value itself stays immutable — only the copy carries
-    request-specific hit/coalesced/bypass flags.
+    ``head`` is the payload's JSON without the closing ``}``; the server
+    appends ``, "cache": <section>}``, so the cache key stays last.
     """
-    shaped = dict(payload)
-    shaped["cache"] = {
-        "hit": hit,
-        "coalesced": coalesced,
-        "bypass": bypass,
-        "key": key,
-    }
-    return shaped
+
+    head: bytes
+    cache: Dict[str, Any]
+
+
+def _cache_section(
+    key: str, hit: bool = False, coalesced: bool = False, bypass: bool = False
+) -> Dict[str, Any]:
+    """The per-request cache section of an evaluate/compare answer."""
+    return {"hit": hit, "coalesced": coalesced, "bypass": bypass, "key": key}
 
 
 def _error_payload(status: int, message: str) -> Dict[str, Any]:

@@ -2,10 +2,11 @@
 
 Keys are request fingerprints (sha256 over the canonical request
 payload, including the trace's ``schema_hash`` — see DESIGN.md §13);
-values are fully rendered response payloads, so a hit costs a dict
-lookup and zero estimation work.  The cache is deliberately simple and
-single-threaded: the service mutates it only from the event loop, so no
-locking is needed.
+values are encoded response bytes (the payload's JSON without its
+closing ``}``), so a hit costs a lookup and a splice of the small
+per-request cache section: no estimation and no report encoding.  The
+cache is deliberately simple and single-threaded: the service mutates
+it only from the event loop, so no locking is needed.
 
 Semantics:
 

@@ -29,13 +29,25 @@ from typing import Optional
 
 from repro.errors import ServeError
 from repro.obs.spans import Recorder, enable, increment, observe
-from repro.serve.app import EvaluationService, _error_payload
+from repro.serve.app import EncodedPayload, EvaluationService, _error_payload
 from repro.serve.http import read_request, render_response
 from repro.store.naming import TraceCatalog
 
 #: Default bind address for ``repro serve``.
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8321
+
+
+def _encode(payload) -> bytes:
+    """A payload's wire bytes.
+
+    An :class:`EncodedPayload` was encoded once when computed; only its
+    small per-request cache section is encoded here and spliced on.
+    """
+    if isinstance(payload, EncodedPayload):
+        section = json.dumps(payload.cache).encode("utf-8")
+        return payload.head + b', "cache": ' + section + b"}"
+    return json.dumps(payload, allow_nan=False).encode("utf-8")
 
 
 async def _handle_connection(
@@ -49,9 +61,7 @@ async def _handle_connection(
             try:
                 request = await read_request(reader)
             except ServeError as error:
-                body = json.dumps(
-                    _error_payload(error.status, str(error))
-                ).encode("utf-8")
+                body = _encode(_error_payload(error.status, str(error)))
                 writer.write(
                     render_response(error.status, body, keep_alive=False)
                 )
@@ -63,6 +73,7 @@ async def _handle_connection(
             started = loop.time()
             try:
                 status, payload = await service.handle(request)
+                body = _encode(payload)
             except Exception as error:  # noqa: BLE001 - last-resort 500
                 # The repr stays server-side; clients get the class name.
                 print(
@@ -71,10 +82,9 @@ async def _handle_connection(
                     file=sys.stderr,
                 )
                 increment("serve.http.internal_error")
-                status, payload = 500, _error_payload(
-                    500, f"internal error: {type(error).__name__}"
+                status, body = 500, _encode(
+                    _error_payload(500, f"internal error: {type(error).__name__}")
                 )
-            body = json.dumps(payload, allow_nan=False).encode("utf-8")
             observe("serve.http.request.seconds", loop.time() - started)
             keep_alive = request.keep_alive and status < 500
             writer.write(

@@ -9,7 +9,9 @@ after its JSON round trip — is bit-identical to the direct
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -21,10 +23,11 @@ from repro import api, core
 from repro.api.registry import default_registry
 from repro.core.reporting import EvaluationReport
 from repro.errors import ServeError
-from repro.obs.spans import disable, enable
+from repro.obs.spans import disable, enable, set_gauge
 from repro.serve.app import EvaluationService
 from repro.serve.cache import ResultCache
 from repro.serve.client import ServeClient
+import repro.serve.server as server_module
 from repro.serve.server import BackgroundServer
 from repro.serve.validate import validate_response_payload
 from repro.store.naming import TraceCatalog
@@ -98,6 +101,33 @@ def client(server):
 def _counter(server, name: str) -> int:
     counters = server["recorder"].metrics.snapshot().get("counters", {})
     return int(counters.get(name, 0))
+
+
+def _raw_post(server, path: str, body) -> bytes:
+    """POST *body* on a fresh connection; the raw 200 response body."""
+    connection = http.client.HTTPConnection(
+        server["host"], server["port"], timeout=120
+    )
+    try:
+        connection.request(
+            "POST",
+            path,
+            body=json.dumps(body).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        raw = response.read()
+        assert response.status == 200, raw[:200]
+        return raw
+    finally:
+        connection.close()
+
+
+def _wait_for(condition, what: str, timeout: float = 60.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.005)
 
 
 class TestBitIdentity:
@@ -224,6 +254,113 @@ POLICY_FLAT = {
 }
 
 
+class TestWireBytes:
+    """Evaluate/compare bodies are pinned byte for byte on the wire."""
+
+    @staticmethod
+    def _split(raw: bytes):
+        """Check one raw body; return its head and decoded cache section."""
+        decoded = json.loads(raw)
+        assert raw == json.dumps(decoded, allow_nan=False).encode("utf-8")
+        assert list(decoded)[-1] == "cache"
+        section = (
+            b', "cache": ' + json.dumps(decoded["cache"]).encode("utf-8") + b"}"
+        )
+        # Clients (and the benchmark's load generator) look for
+        # '"hit": true' in the body's final 256 bytes.
+        assert raw.endswith(section) and len(section) <= 256
+        return raw[: -len(section)], decoded["cache"]
+
+    @pytest.mark.parametrize("endpoint", ["evaluate", "compare"])
+    def test_miss_coalesced_hit_bypass(self, endpoint, server, monkeypatch):
+        service = server["service"]
+        body = {
+            "trace": {"name": "demo"},
+            "policy": {
+                "kind": "epsilon-greedy",
+                "options": {"epsilon": 0.271, "base": POLICY},
+            },
+        }
+        path = f"/v1/{endpoint}"
+        # Hold the estimation until a second identical request has
+        # joined it, so the coalesced answer is deterministic.
+        entered, release = threading.Event(), threading.Event()
+        estimate = service._estimate
+
+        def gated(parsed, resolved):
+            entered.set()
+            assert release.wait(timeout=60)
+            return estimate(parsed, resolved)
+
+        monkeypatch.setattr(service, "_estimate", gated)
+        coalesced_before = _counter(server, "serve.coalesced")
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            first = pool.submit(_raw_post, server, path, body)
+            assert entered.wait(timeout=60)
+            joined = pool.submit(_raw_post, server, path, body)
+            _wait_for(
+                lambda: _counter(server, "serve.coalesced") > coalesced_before,
+                "the second request to coalesce",
+            )
+            release.set()
+            miss, coalesced = first.result(), joined.result()
+        monkeypatch.undo()
+        hit = _raw_post(server, path, body)
+        bypass = _raw_post(server, path, dict(body, cache="bypass"))
+
+        heads, keys = {}, set()
+        for name, raw in [
+            ("miss", miss),
+            ("coalesced", coalesced),
+            ("hit", hit),
+            ("bypass", bypass),
+        ]:
+            heads[name], section = self._split(raw)
+            assert section == {
+                "hit": name == "hit",
+                "coalesced": name == "coalesced",
+                "bypass": name == "bypass",
+                "key": section["key"],
+            }
+            keys.add(section["key"])
+            validate_response_payload(json.loads(raw))
+        assert len(set(heads.values())) == 1 and len(keys) == 1
+
+    def test_hit_does_no_report_work(self, server, monkeypatch):
+        body = {
+            "trace": {"name": "demo"},
+            "policy": {
+                "kind": "epsilon-greedy",
+                "options": {"epsilon": 0.314, "base": POLICY},
+            },
+            "estimator": {"name": "dr"},
+        }
+        _raw_post(server, "/v1/evaluate", body)  # the miss computes
+        sizes, reports = [], []
+        dumps = server_module.json.dumps
+        to_json_dict = EvaluationReport.to_json_dict
+
+        def counting_dumps(obj, *args, **kwargs):
+            encoded = dumps(obj, *args, **kwargs)
+            sizes.append(len(encoded))
+            return encoded
+
+        def counting_to_json_dict(self):
+            reports.append(self)
+            return to_json_dict(self)
+
+        monkeypatch.setattr(server_module.json, "dumps", counting_dumps)
+        monkeypatch.setattr(EvaluationReport, "to_json_dict", counting_to_json_dict)
+        hits_before = _counter(server, "serve.cache.hit")
+        repeats = 20
+        for _ in range(repeats):
+            raw = _raw_post(server, "/v1/evaluate", body)
+            assert b'"hit": true' in raw[-256:]
+        assert _counter(server, "serve.cache.hit") == hits_before + repeats
+        assert reports == []
+        assert len(sizes) >= repeats and max(sizes) <= 1024
+
+
 class TestGetEndpoints:
     def test_health(self, client):
         payload = client.health()
@@ -315,6 +452,43 @@ class TestErrors:
         )
         assert payload["status"] == 400
         assert "registered kinds" in payload["error"]
+
+    def test_unencodable_payload_answers_500(self, client, server):
+        # A live confidence-sequence width starts at inf, which strict
+        # JSON cannot encode: the answer is a 500, not a dropped
+        # connection.
+        before = _counter(server, "serve.http.internal_error")
+        set_gauge("live.cs.width.dr", float("inf"))
+        try:
+            payload = client.request("GET", "/v1/telemetry", expect_errors=True)
+        finally:
+            set_gauge("live.cs.width.dr", 0.0)
+        assert payload == {
+            "kind": "repro.serve.error",
+            "status": 500,
+            "error": "internal error: ValueError",
+        }
+        assert _counter(server, "serve.http.internal_error") == before + 1
+        assert client.telemetry()["recording"] is True
+
+    def test_unencodable_report_is_not_cached(self, client, server, monkeypatch):
+        body = {"estimator": "ips", "diagnostics": False, "seed": 404}
+        monkeypatch.setattr(
+            EvaluationReport, "to_json_dict", lambda self: {"estimate": float("nan")}
+        )
+        failed = client.request(
+            "POST",
+            "/v1/evaluate",
+            body={"trace": {"name": "flat"}, "policy": POLICY_FLAT, **body},
+            expect_errors=True,
+        )
+        assert failed["status"] == 500
+        assert failed["error"] == "internal error: ValueError"
+        monkeypatch.undo()
+        computed_before = _counter(server, "serve.evaluate.computed")
+        again = client.evaluate("flat", POLICY_FLAT, **body)
+        assert again["cache"]["hit"] is False
+        assert _counter(server, "serve.evaluate.computed") == computed_before + 1
 
     def test_rejected_requests_counted(self, client, server):
         before = _counter(server, "serve.request.rejected")
