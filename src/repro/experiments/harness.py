@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
-import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
@@ -49,12 +48,10 @@ from repro.runtime import (
     RunRecord,
     execute_run,
 )
-from repro.store.shm import shared_trace_clone
+from repro.runtime.pool import _block_partition, _effective_workers, _fork_available
 
 # A per-seed experiment: rng -> {estimator label: relative error}, or a
 # RunOutcome when the run wants to report degradations/quarantines too.
-# With run_repeated(..., trace=...), the signature is (rng, trace) ->
-# the same result types.
 RunFunction = Callable[
     [np.random.Generator], Union[RunOutcome, Mapping[str, float]]
 ]
@@ -218,42 +215,6 @@ def _run_block(indices: Sequence[int], seed_values: Sequence[int]) -> List[RunRe
             gc.enable()
 
 
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _effective_workers(workers: int, tasks: int) -> int:
-    """Cap the pool at the CPUs this process may actually run on.
-
-    Oversubscribing a saturated host adds context-switch overhead with
-    no added parallelism — the measured cause of the historical
-    parallel-slower-than-sequential fig7a regression.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
-    return max(1, min(workers, tasks, cpus))
-
-
-def _block_partition(pending: Sequence[int], count: int) -> List[List[int]]:
-    """Split *pending* (ascending) into *count* contiguous blocks.
-
-    One task per worker amortises task dispatch and result pickling over
-    the whole block instead of paying per seed, and contiguous index
-    ranges keep ledger journaling a simple in-order drain.
-    """
-    base, extra = divmod(len(pending), count)
-    blocks: List[List[int]] = []
-    start = 0
-    for position in range(count):
-        size = base + (1 if position < extra else 0)
-        if size:
-            blocks.append(list(pending[start : start + size]))
-            start += size
-    return blocks
-
-
 def _journaled(record: RunRecord) -> RunRecord:
     """The ledger journals a run's deterministic identity, not its timing:
     durations are canonicalised to 0.0 so sequential, parallel, and
@@ -349,7 +310,6 @@ def run_repeated(
     resume: bool = False,
     workers: int = 1,
     telemetry_path: Optional[Union[str, Path]] = None,
-    trace: Optional[object] = None,
 ) -> ExperimentResult:
     """Run *run* for *runs* seeds and aggregate per-estimator errors.
 
@@ -399,15 +359,6 @@ def run_repeated(
         telemetry plus the index-order-merged summary.  The ledger
         remains the crash checkpoint; the telemetry file is
         byte-identical however the sweep executed.
-    trace:
-        Optional trace shared by every seed.  When given, *run* is
-        called as ``run(rng, trace)`` and the harness promotes a dense
-        :class:`~repro.core.types.Trace` onto shared memory for the
-        duration of the sweep (see :mod:`repro.store.shm`): pool workers
-        map one segment instead of each forking a private copy of the
-        numeric columns.  Promotion is best-effort — where shared memory
-        is unavailable the original trace is passed through and results
-        (ledger and telemetry bytes included) are identical.
     """
     if runs <= 0:
         raise EstimatorError(f"runs must be positive, got {runs}")
@@ -437,14 +388,6 @@ def run_repeated(
     seed_values = [next(seeds) for _ in range(runs)]
     pending = [index for index in range(runs) if index not in completed]
     records: List[RunRecord] = []
-    release: Callable[[], None] = lambda: None
-    bound_run = run
-    if trace is not None:
-        # Promote once for the whole sweep — the sequential path rides the
-        # same (value-identical) columns, so results cannot depend on
-        # whether promotion succeeded.
-        worker_trace, release = shared_trace_clone(trace)
-        bound_run = lambda rng: run(rng, worker_trace)  # noqa: E731
     try:
         with span("harness.sweep", experiment=name):
             if workers == 1 or len(pending) <= 1 or not _fork_available():
@@ -455,9 +398,7 @@ def run_repeated(
                             completed[index], index, seed_value, ledger
                         )
                     else:
-                        record = execute_run(
-                            bound_run, index, seed_value, retry=retry
-                        )
+                        record = execute_run(run, index, seed_value, retry=retry)
                         if ledger is not None:
                             ledger.append(_journaled(record))
                     records.append(record)
@@ -471,12 +412,11 @@ def run_repeated(
                 }
                 by_index.update(
                     _run_parallel(
-                        bound_run, retry, pending, seed_values, workers, ledger
+                        run, retry, pending, seed_values, workers, ledger
                     )
                 )
                 records = [by_index[index] for index in range(runs)]
     finally:
-        release()
         if ledger is not None:
             ledger.close()
 

@@ -3,10 +3,11 @@
 :class:`IncrementalEstimator` is the live twin of
 :func:`repro.store.streaming.stream_estimate`: the same three-hook
 decomposition (``_stream_setup`` once, ``_stream_chunk`` per chunk,
-``_stream_finalize`` over the gathered columns), with one difference —
-the stream has no known length, so the gather buffers *grow* (capacity
-doubling) instead of being preallocated, and finalize can be asked for
-at any prefix.
+``_stream_finalize`` over the gathered columns), through the same
+:class:`~repro.store.streaming.ColumnGather`, held open.  The one
+difference is that the stream has no known length, so the gather starts
+at :data:`INITIAL_CAPACITY` and *grows* (capacity doubling) instead of
+being preallocated, and finalize can be asked for at any prefix.
 
 **The pinned guarantee** (``tests/live/test_incremental_equivalence.py``):
 after observing any sequence of chunks covering records ``[0, n)``, the
@@ -35,7 +36,6 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.core.contracts import check_trace_columns
 from repro.core.estimators.base import EstimateResult, OffPolicyEstimator
 from repro.core.policy import Policy
 from repro.core.propensity import (
@@ -44,6 +44,7 @@ from repro.core.propensity import (
     resolve_propensity_source,
 )
 from repro.errors import EstimatorError
+from repro.store.streaming import ColumnGather
 
 #: Initial per-column buffer capacity (records).  Doubles as needed.
 INITIAL_CAPACITY = 4096
@@ -81,9 +82,7 @@ class IncrementalEstimator:
         self._propensity_model = propensity_model
         self._propensity_floor = propensity_floor
         self._source: Optional[PropensitySource] = None
-        self._buffers: Optional[Dict[str, np.ndarray]] = None
-        self._capacity = 0
-        self._length = 0
+        self._gather = ColumnGather(estimator, INITIAL_CAPACITY)
         self._chunks = 0
 
     @property
@@ -94,32 +93,12 @@ class IncrementalEstimator:
     @property
     def n(self) -> int:
         """Records observed so far."""
-        return self._length
+        return self._gather.length
 
     @property
     def chunks(self) -> int:
         """Chunks observed so far."""
         return self._chunks
-
-    def _ensure_capacity(self, needed: int, template: Dict[str, np.ndarray]) -> None:
-        if self._buffers is None:
-            capacity = max(INITIAL_CAPACITY, needed)
-            self._buffers = {
-                key: np.empty(capacity, dtype=array.dtype)
-                for key, array in template.items()
-            }
-            self._capacity = capacity
-            return
-        if needed <= self._capacity:
-            return
-        capacity = self._capacity
-        while capacity < needed:
-            capacity *= 2
-        for key, buffer in self._buffers.items():
-            grown = np.empty(capacity, dtype=buffer.dtype)
-            grown[: self._length] = buffer[: self._length]
-            self._buffers[key] = grown
-        self._capacity = capacity
 
     def observe_chunk(self, chunk) -> int:
         """Score one chunk and append its per-record columns.
@@ -131,14 +110,13 @@ class IncrementalEstimator:
         :class:`~repro.core.types.Trace`.  Returns the total record
         count after the append.
 
-        Validation mirrors the offline engine exactly — vectorised
-        contracts with absolute record offsets, shape checks, and a
-        stable column set across chunks.
+        Validation is the offline engine's own :class:`ColumnGather` —
+        vectorised contracts with absolute record offsets, shape checks,
+        and a stable column set across chunks.
         """
         estimator = self._estimator
-        size = len(chunk)
-        if size == 0:
-            return self._length
+        if len(chunk) == 0:
+            return self.n
         if self._chunks == 0:
             # Same setup/resolution order as stream_estimate: source
             # first (so missing propensities fail before any model
@@ -151,37 +129,9 @@ class IncrementalEstimator:
                     floor=self._propensity_floor,
                 )
             estimator._stream_setup(self._policy, chunk)
-        cursor = self._length
-        check_trace_columns(
-            chunk.columns(),
-            where=f"{estimator.name} input trace",
-            offset=cursor,
-        )
-        columns = estimator._stream_chunk(self._policy, chunk, self._source, cursor)
-        if not columns:
-            raise EstimatorError(
-                f"{estimator.name}._stream_chunk returned no columns"
-            )
-        arrays: Dict[str, np.ndarray] = {}
-        for key, value in columns.items():
-            array = np.asarray(value)
-            if array.shape != (size,):
-                raise EstimatorError(
-                    f"{estimator.name}._stream_chunk column {key!r} has "
-                    f"shape {array.shape}, expected ({size},)"
-                )
-            arrays[key] = array
-        if self._buffers is not None and set(arrays) != set(self._buffers):
-            raise EstimatorError(
-                f"{estimator.name}._stream_chunk changed its column set "
-                f"mid-stream: {sorted(self._buffers)} vs {sorted(arrays)}"
-            )
-        self._ensure_capacity(cursor + size, arrays)
-        for key, array in arrays.items():
-            self._buffers[key][cursor : cursor + size] = array
-        self._length = cursor + size
+        self._gather.add(self._policy, chunk, self._source)
         self._chunks += 1
-        return self._length
+        return self.n
 
     def result(self, extra_diagnostics: Optional[Dict[str, Any]] = None) -> EstimateResult:
         """Finalize over everything observed so far.
@@ -192,24 +142,19 @@ class IncrementalEstimator:
         quarantine report) are attached afterwards, mirroring how
         ``stream_estimate`` decorates degraded results.
         """
-        if self._buffers is None or self._length == 0:
+        if self.n == 0:
             raise EstimatorError("cannot estimate from an empty stream")
-        columns = {
-            key: buffer[: self._length] for key, buffer in self._buffers.items()
-        }
-        result = self._estimator._stream_finalize(columns, self._length)
+        result = self._gather.finalize(self.n)
         if extra_diagnostics:
             result.diagnostics.update(extra_diagnostics)
         return result
 
     def column_prefix(self, key: str) -> np.ndarray:
         """Read-only view of one gathered column's observed prefix."""
-        if self._buffers is None or key not in self._buffers:
+        if key not in self._gather.buffers:
             raise EstimatorError(f"no gathered column {key!r}")
-        return self._buffers[key][: self._length]
+        return self._gather.buffers[key][: self.n]
 
     def column_names(self) -> tuple:
         """Names of the gathered per-record columns (empty before data)."""
-        if self._buffers is None:
-            return ()
-        return tuple(sorted(self._buffers))
+        return tuple(sorted(self._gather.buffers))

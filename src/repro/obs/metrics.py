@@ -38,11 +38,10 @@ TIMING_SUFFIXES = ("duration", "seconds", "wall", "cpu")
 
 #: Dotted-name prefixes of **environment metrics** — values that record
 #: *how* the run executed (which kernel backend resolved, how many bytes
-#: crossed the pool's pickle channel) rather than *what* the seeded
+#: crossed the pool's result pipe) rather than *what* the seeded
 #: experiment computed.  Like timing metrics they are excluded from
 #: deterministic snapshots: the same sweep must journal byte-identical
-#: telemetry whether it ran on numpy or numba, over shared memory or
-#: pickles.
+#: telemetry whether it ran on numpy or numba, in one process or a pool.
 ENVIRONMENT_PREFIXES = (
     "kernels.backend",
     "harness.pool.ipc",

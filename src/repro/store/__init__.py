@@ -68,7 +68,7 @@ from repro.store.sharded import (
     ShardedTrace,
     is_streaming_trace,
 )
-from repro.store.streaming import stream_estimate, stream_weight_columns
+from repro.store.streaming import stream_estimate
 
 __all__ = [
     "CORRUPTION_POLICIES",
@@ -97,7 +97,6 @@ __all__ = [
     "shard_checksum",
     "shard_filename",
     "stream_estimate",
-    "stream_weight_columns",
     "trace_to_shards",
     "verify_store",
     "write_shards",

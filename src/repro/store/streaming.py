@@ -12,8 +12,8 @@ Bit-identity with the dense path is by construction, not by tolerance:
    are pure elementwise functions of the record — so computing them for
    chunk ``[a, b)`` yields exactly the float64 entries ``a..b`` of the
    dense arrays.
-2. The engine gathers those columns, in trace order, into preallocated
-   full-length buffers.
+2. A :class:`ColumnGather` places those columns, at their absolute
+   record cursors, into preallocated full-length buffers.
 3. ``_stream_finalize`` runs every cross-record reduction (means, weight
    sums, the self-normalisation denominators of SNIPS/SNDR, clipping
    statistics) on the assembled buffers — the *same code*, on the *same
@@ -41,11 +41,12 @@ front, against the sharded trace's manifest-backed
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Any, Dict, List, Optional, Tuple
+from concurrent.futures import ProcessPoolExecutor
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,19 +60,125 @@ from repro.core.propensity import (
 )
 from repro.errors import EstimatorError, StoreError
 from repro.obs.spans import increment, observe, recording, span
-from repro.store.shm import SharedColumnBuffers, shared_memory_available
+from repro.runtime.pool import _block_partition, _effective_workers, _fork_available
 
 #: Environment override for the default stream worker count, honoured
 #: whenever ``stream_estimate`` is reached without an explicit
 #: ``workers=`` (i.e. through ``estimator.estimate(...)``).
 STREAM_WORKERS_VAR = "REPRO_STREAM_WORKERS"
 
-#: Valid ``transport=`` values ("auto" is spelled ``None``).
-TRANSPORTS = ("shm", "pickle")
 
+class ColumnGather:
+    """Per-record estimator columns, placed at absolute record cursors.
 
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
+    The one validation-and-placement implementation behind every
+    streaming engine: the sequential loop and the fork workers of
+    :func:`stream_estimate` (buffers preallocated to ``len(trace)``) and
+    :class:`repro.live.incremental.IncrementalEstimator` (buffers that
+    start at its ``INITIAL_CAPACITY`` and double).  :meth:`add` runs the
+    vectorised trace contracts with absolute offsets, scores the chunk
+    through ``_stream_chunk``, checks that the columns exist, hold one
+    entry per record and keep the first chunk's column set, and writes
+    them at the chunk's cursor.  :meth:`finalize` reduces a prefix once.
+
+    With ``shared=True`` every buffer is an anonymous shared mapping.  A
+    pool forked after the first :meth:`add` inherits the mappings, so
+    its workers write their disjoint spans straight into the parent's
+    arrays: no segment name to unlink, nothing to copy back.
+    """
+
+    def __init__(self, estimator, capacity: int, shared: bool = False):
+        self._estimator = estimator
+        self._capacity = capacity
+        self._shared = shared
+        #: Gathered column buffers (empty until the first chunk).
+        self.buffers: Dict[str, np.ndarray] = {}
+        #: One past the highest record written so far.
+        self.length = 0
+
+    def _allocate(self, size: int, dtype: np.dtype) -> np.ndarray:
+        if not self._shared:
+            return np.empty(size, dtype=dtype)
+        # An anonymous mapping cannot be empty; count= keeps the view exact.
+        mapping = mmap.mmap(-1, max(1, size * dtype.itemsize))
+        return np.frombuffer(mapping, dtype=dtype, count=size)
+
+    def _reserve(self, end: int, arrays: Dict[str, np.ndarray]) -> None:
+        if not self.buffers:
+            self._capacity = max(self._capacity, end)
+            self.buffers = {
+                key: self._allocate(self._capacity, array.dtype)
+                for key, array in arrays.items()
+            }
+            return
+        if end <= self._capacity:
+            return
+        capacity = max(self._capacity, 1)
+        while capacity < end:
+            capacity *= 2
+        for key, buffer in self.buffers.items():
+            grown = self._allocate(capacity, buffer.dtype)
+            grown[: self.length] = buffer[: self.length]
+            self.buffers[key] = grown
+        self._capacity = capacity
+
+    def add(
+        self,
+        policy: Policy,
+        chunk,
+        source: Optional[PropensitySource],
+        cursor: Optional[int] = None,
+    ) -> int:
+        """Validate, score and place *chunk* at *cursor* (default: the end).
+
+        Returns the chunk's record count.
+        """
+        estimator = self._estimator
+        if cursor is None:
+            cursor = self.length
+        size = len(chunk)
+        check_trace_columns(
+            chunk.columns(),
+            where=f"{estimator.name} input trace",
+            offset=cursor,
+        )
+        columns = estimator._stream_chunk(policy, chunk, source, cursor)
+        if not columns:
+            raise EstimatorError(
+                f"{estimator.name}._stream_chunk returned no columns"
+            )
+        arrays: Dict[str, np.ndarray] = {}
+        for key, value in columns.items():
+            array = np.asarray(value)
+            if array.shape != (size,):
+                raise EstimatorError(
+                    f"{estimator.name}._stream_chunk column {key!r} has "
+                    f"shape {array.shape}, expected ({size},)"
+                )
+            arrays[key] = array
+        if self.buffers and set(arrays) != set(self.buffers):
+            raise EstimatorError(
+                f"{estimator.name}._stream_chunk changed its column set "
+                f"mid-stream: {sorted(self.buffers)} vs {sorted(arrays)}"
+            )
+        end = cursor + size
+        self._reserve(end, arrays)
+        for key, array in arrays.items():
+            self.buffers[key][cursor:end] = array
+        self.length = max(self.length, end)
+        return size
+
+    def finalize(self, length: int) -> EstimateResult:
+        """Run ``_stream_finalize`` once over the first *length* records.
+
+        A *length* short of the gathered extent is quarantine
+        truncation: the surviving prefix holds exactly the dense-path
+        entries of the surviving records.
+        """
+        if not self.buffers or length == 0:
+            raise EstimatorError("cannot estimate from an empty trace")
+        columns = {key: buffer[:length] for key, buffer in self.buffers.items()}
+        return self._estimator._stream_finalize(columns, length)
 
 
 def _resolve_workers(workers: Optional[int]) -> int:
@@ -92,82 +199,28 @@ def _resolve_workers(workers: Optional[int]) -> int:
     return value
 
 
-def _effective_workers(workers: int, tasks: int) -> int:
-    """Cap the pool at this process's CPU affinity (see harness)."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
-    return max(1, min(workers, tasks, cpus))
-
-
-def _validated_columns(
-    estimator, columns: Optional[Dict[str, Any]], size: int
-) -> Dict[str, np.ndarray]:
-    """Shape-check one ``_stream_chunk`` result (same errors everywhere)."""
-    if not columns:
-        raise EstimatorError(
-            f"{estimator.name}._stream_chunk returned no columns"
-        )
-    arrays: Dict[str, np.ndarray] = {}
-    for key, value in columns.items():
-        array = np.asarray(value)
-        if array.shape != (size,):
-            raise EstimatorError(
-                f"{estimator.name}._stream_chunk column {key!r} has "
-                f"shape {array.shape}, expected ({size},)"
-            )
-        arrays[key] = array
-    return arrays
-
-
 # Worker context for the parallel streaming pool, inherited over fork
 # exactly like the harness's (the estimator carries a fitted model the
-# task queue could not cheaply pickle):
-# (estimator, policy, source, store, plan, cursors, shared buffer views
-# or None, expected column keys).
+# task queue could not cheaply pickle, and the gather carries the shared
+# buffers): (gather, policy, source, store, plan, cursors).
 _STREAM_CONTEXT: Optional[Tuple] = None
 
 
-def _stream_block(
-    positions: List[int],
-) -> List[Tuple[int, int, Optional[Dict[str, np.ndarray]]]]:
-    """Process one contiguous block of planned chunks in a pool worker.
+def _stream_block(positions: List[int]) -> List[int]:
+    """Gather one contiguous block of planned chunks in a pool worker.
 
-    Returns ``(position, size, columns-or-None)`` per chunk: ``None``
-    when the columns were written in place into the fork-inherited
-    shared-memory buffers, the arrays themselves under pickle transport.
+    The columns land in the fork-inherited shared buffers; only the
+    chunk sizes travel back, for the parent's in-order telemetry replay.
     """
     from repro.store.sharded import ShardChunk
 
-    estimator, policy, source, store, plan, cursors, buffers, expected = (
-        _STREAM_CONTEXT
-    )
-    results: List[Tuple[int, int, Optional[Dict[str, np.ndarray]]]] = []
-    for position in positions:
-        shard_index, lo, hi = plan[position]
-        chunk = ShardChunk(store, shard_index, lo, hi)
-        size = len(chunk)
-        cursor = cursors[position]
-        check_trace_columns(
-            chunk.columns(),
-            where=f"{estimator.name} input trace",
-            offset=cursor,
+    gather, policy, source, store, plan, cursors = _STREAM_CONTEXT
+    return [
+        gather.add(
+            policy, ShardChunk(store, *plan[position]), source, cursors[position]
         )
-        columns = estimator._stream_chunk(policy, chunk, source, cursor)
-        arrays = _validated_columns(estimator, columns, size)
-        if set(arrays) != expected:
-            raise EstimatorError(
-                f"{estimator.name}._stream_chunk changed its column set "
-                f"mid-stream: {sorted(expected)} vs {sorted(arrays)}"
-            )
-        if buffers is None:
-            results.append((position, size, arrays))
-        else:
-            for key, array in arrays.items():
-                buffers[key][cursor : cursor + size] = array
-            results.append((position, size, None))
-    return results
+        for position in positions
+    ]
 
 
 def _parallel_stream(
@@ -176,7 +229,6 @@ def _parallel_stream(
     trace,
     source: Optional[PropensitySource],
     workers: int,
-    transport: Optional[str],
 ) -> EstimateResult:
     """Fan the planned chunk spans over a fork pool, gather, finalize.
 
@@ -205,108 +257,35 @@ def _parallel_stream(
     estimator._stream_setup(new_policy, trace)
 
     # The first chunk runs in the parent: it fixes the column set and
-    # dtypes the gather buffers need, and those must exist before the
-    # pool forks for workers to inherit the mappings.
-    first = ShardChunk(trace._store, *plan[0])
-    check_trace_columns(
-        first.columns(), where=f"{estimator.name} input trace", offset=0
-    )
-    first_arrays = _validated_columns(
-        estimator,
-        estimator._stream_chunk(new_policy, first, source, 0),
-        len(first),
-    )
-    expected = set(first_arrays)
-
-    use_shm = transport != "pickle" and shared_memory_available()
-    shared: Optional[SharedColumnBuffers] = None
-    if use_shm:
-        try:
-            shared = SharedColumnBuffers(
-                {key: array.dtype for key, array in first_arrays.items()}, n
-            )
-        except Exception:  # noqa: REP006 - shm allocation failure degrades to private gather buffers + pickle transport
-            shared = None
-            use_shm = False
-    if shared is not None:
-        buffers: Dict[str, np.ndarray] = shared.views
-    else:
-        buffers = {
-            key: np.empty(n, dtype=array.dtype)
-            for key, array in first_arrays.items()
-        }
-    for key, array in first_arrays.items():
-        buffers[key][: len(first)] = array
-    observe("store.chunk.records", float(len(first)))
+    # dtypes of the shared buffers, which must exist before the pool
+    # forks for workers to inherit the mappings.
+    gather = ColumnGather(estimator, n, shared=True)
+    first = gather.add(new_policy, ShardChunk(trace._store, *plan[0]), source, 0)
+    observe("store.chunk.records", float(first))
     increment("ope.stream.chunks")
 
     pending = list(range(1, len(plan)))
     effective = _effective_workers(workers, len(pending))
-    blocks: List[List[int]] = []
-    base, extra = divmod(len(pending), effective)
-    start = 0
-    for index in range(effective):
-        size = base + (1 if index < extra else 0)
-        if size:
-            blocks.append(pending[start : start + size])
-            start += size
-
-    _STREAM_CONTEXT = (
-        estimator,
-        new_policy,
-        source,
-        trace._store,
-        plan,
-        cursors,
-        shared.views if shared is not None else None,
-        expected,
-    )
-    done: Dict[int, List[Tuple[int, int, Optional[Dict[str, np.ndarray]]]]] = {}
-    next_block = 0
+    blocks = _block_partition(pending, effective)
+    _STREAM_CONTEXT = (gather, new_policy, source, trace._store, plan, cursors)
     try:
         with ProcessPoolExecutor(
             max_workers=effective,
             mp_context=multiprocessing.get_context("fork"),
         ) as pool:
-            futures = {
-                pool.submit(_stream_block, block): index
-                for index, block in enumerate(blocks)
-            }
-            try:
-                for future in as_completed(futures):
-                    index = futures[future]
-                    block_results = future.result()
-                    if recording():
-                        increment(
-                            "harness.pool.ipc.bytes",
-                            float(len(pickle.dumps(block_results))),
-                        )
-                    done[index] = block_results
-                    # Drain in block order (= chunk order): pickle-
-                    # transport columns land at their absolute cursors
-                    # and per-chunk telemetry replays the sequential
-                    # emission sequence exactly.
-                    while next_block < len(blocks) and next_block in done:
-                        for position, size, arrays in done.pop(next_block):
-                            if arrays is not None:
-                                cursor = cursors[position]
-                                for key, array in arrays.items():
-                                    buffers[key][cursor : cursor + size] = array
-                            observe("store.chunk.records", float(size))
-                            increment("ope.stream.chunks")
-                        next_block += 1
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
+            # Results arrive in block order (= chunk order), so per-chunk
+            # telemetry replays the sequential emission sequence exactly.
+            for sizes in pool.map(_stream_block, blocks):
+                if recording():
+                    increment(
+                        "harness.pool.ipc.bytes", float(len(pickle.dumps(sizes)))
+                    )
+                for size in sizes:
+                    observe("store.chunk.records", float(size))
+                    increment("ope.stream.chunks")
     finally:
         _STREAM_CONTEXT = None
-    if shared is not None:
-        # Private copies so the result never aliases segments whose
-        # mappings die with this process.
-        buffers = {key: np.array(view) for key, view in buffers.items()}
-        shared.close()
-    return estimator._stream_finalize(buffers, n)
+    return gather.finalize(n)
 
 
 def stream_estimate(
@@ -317,7 +296,6 @@ def stream_estimate(
     propensity_model: Optional[PropensityModel] = None,
     propensity_floor: Optional[float] = None,
     workers: Optional[int] = None,
-    transport: Optional[str] = None,
 ) -> EstimateResult:
     """Evaluate *estimator* over a chunked *trace* in bounded memory.
 
@@ -339,14 +317,15 @@ def stream_estimate(
     Parallelism: with ``workers > 1`` (or ``REPRO_STREAM_WORKERS`` set,
     for calls routed through ``estimate()``), chunk spans are planned
     from the manifest and fanned over a fork-based worker pool — see
-    :func:`_parallel_stream`.  Workers gather their columns straight
-    into shared-memory buffers (``transport="shm"``, the default where
-    available) or return them over the result pipe
-    (``transport="pickle"``); both are bit-identical to the sequential
-    engine.  The parallel path requires the ``fork`` start method, a
-    trace exposing ``plan_chunks``, and ``on_corruption == "raise"`` (a
-    quarantining reader may stream fewer spans than planned); anything
-    else silently degrades to the sequential engine below.
+    :func:`_parallel_stream`.  The parent allocates the
+    :class:`ColumnGather` buffers as anonymous shared mappings before
+    forking; workers inherit them and write their disjoint spans in
+    place, so only chunk sizes cross the result pipe and the result is
+    bit-identical to the sequential engine.  The parallel path requires
+    the ``fork`` start method, a trace exposing ``plan_chunks``, and
+    ``on_corruption == "raise"`` (a quarantining reader may stream fewer
+    spans than planned); anything else silently degrades to the
+    sequential engine below.
 
     Raises
     ------
@@ -359,11 +338,6 @@ def stream_estimate(
         accounts for — a corrupt or racing shard directory; or when
         every shard was quarantined and no records survive.
     """
-    if transport is not None and transport not in TRANSPORTS:
-        raise EstimatorError(
-            f"unknown stream transport {transport!r}; "
-            f"expected one of {TRANSPORTS} (or None for auto)"
-        )
     n = len(trace)
     source: Optional[PropensitySource] = None
     if estimator.requires_propensities:
@@ -381,79 +355,18 @@ def stream_estimate(
     ):
         with span("ope.stream", estimator=estimator.name):
             return _parallel_stream(
-                estimator, new_policy, trace, source, resolved_workers, transport
+                estimator, new_policy, trace, source, resolved_workers
             )
     with span("ope.stream", estimator=estimator.name):
         estimator._stream_setup(new_policy, trace)
-        buffers: Optional[Dict[str, np.ndarray]] = None
-        cursor = 0
-        chunks = 0
+        gather = ColumnGather(estimator, n)
         for chunk in trace.iter_chunks():
-            size = len(chunk)
-            check_trace_columns(
-                chunk.columns(),
-                where=f"{estimator.name} input trace",
-                offset=cursor,
-            )
-            columns = estimator._stream_chunk(new_policy, chunk, source, cursor)
-            if not columns:
-                raise EstimatorError(
-                    f"{estimator.name}._stream_chunk returned no columns"
-                )
-            if buffers is None:
-                buffers = {
-                    key: np.empty(n, dtype=np.asarray(value).dtype)
-                    for key, value in columns.items()
-                }
-            if set(columns) != set(buffers):
-                raise EstimatorError(
-                    f"{estimator.name}._stream_chunk changed its column set "
-                    f"mid-stream: {sorted(buffers)} vs {sorted(columns)}"
-                )
-            for key, value in columns.items():
-                array = np.asarray(value)
-                if array.shape != (size,):
-                    raise EstimatorError(
-                        f"{estimator.name}._stream_chunk column {key!r} has "
-                        f"shape {array.shape}, expected ({size},)"
-                    )
-                buffers[key][cursor : cursor + size] = array
-            cursor += size
-            chunks += 1
+            size = gather.add(new_policy, chunk, source)
             observe("store.chunk.records", float(size))
             increment("ope.stream.chunks")
-        skipped = reconcile_shortfall(trace, cursor)
-        if buffers is None:
-            raise EstimatorError("cannot estimate from an empty trace")
-        if skipped:
-            # Finalize on the surviving prefix of each gathered column:
-            # the entries are exactly the dense-path float64 values of
-            # the surviving records, so the degraded estimate is the
-            # bit-identical estimate of the surviving subtrace.
-            buffers = {key: array[:cursor] for key, array in buffers.items()}
-        result = estimator._stream_finalize(buffers, cursor)
+        skipped = reconcile_shortfall(trace, gather.length)
+        result = gather.finalize(gather.length)
         if skipped:
             report = trace.quarantine_report()
             result.diagnostics["store_quarantine"] = report.to_json()
         return result
-
-
-def stream_weight_columns(trace, column: str = "rewards") -> np.ndarray:
-    """Gather one raw per-record column from a chunked trace.
-
-    Small utility mirroring what the engine does for estimator columns;
-    handy for diagnostics scripts that want, say, every reward of a
-    sharded trace without materialising records (``column`` is any
-    :class:`~repro.core.types.TraceColumns` float attribute).  A
-    quarantining reader yields the survivors' values, reconciled exactly
-    as in :func:`stream_estimate`.
-    """
-    n = len(trace)
-    out = np.empty(n, dtype=np.float64)
-    cursor = 0
-    for chunk in trace.iter_chunks():
-        values: Any = getattr(chunk.columns(), column)
-        out[cursor : cursor + len(chunk)] = values
-        cursor += len(chunk)
-    reconcile_shortfall(trace, cursor)
-    return out[:cursor]

@@ -15,10 +15,11 @@ import json
 import pytest
 
 from repro import api, core
-from repro.experiments.harness import _fork_available, run_repeated
+from repro.experiments.harness import run_repeated
 from repro.obs.metrics import is_timing_metric
 from repro.obs.validate import validate_telemetry_file
 from repro.runtime import EstimatorFallbackChain
+from repro.runtime.pool import _fork_available
 from repro.core.types import Trace, TraceRecord
 
 needs_fork = pytest.mark.skipif(

@@ -1,14 +1,15 @@
-"""Parallel streaming estimation: workers × transport × backend sweep.
+"""Parallel streaming estimation: workers × backend sweep.
 
 Extends the stream-vs-dense bit-identity guarantee along the two new
-axes this tier adds: a fork worker pool gathering columns through
-shared-memory segments or the pickle result pipe, and the kernel
-backend registry.  Every cell of the sweep must reproduce the
-sequential engine's results bit for bit — values, contributions,
-diagnostics, and deterministic telemetry.
+axes this tier adds: a fork worker pool gathering columns into
+fork-inherited shared buffers, and the kernel backend registry.  Every
+cell of the sweep must reproduce the sequential engine's results bit for
+bit — values, contributions, diagnostics, and deterministic telemetry.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +20,8 @@ from repro.core.models.tabular import TabularMeanModel
 from repro.errors import EstimatorError
 from repro.kernels import available_backends, use_backend
 from repro.store import ShardedTrace
-from repro.store.streaming import (
-    STREAM_WORKERS_VAR,
-    _fork_available,
-    stream_estimate,
-)
+from repro.runtime.pool import _fork_available
+from repro.store.streaming import STREAM_WORKERS_VAR, stream_estimate
 from repro.workloads.synthetic import SyntheticWorkload
 
 needs_fork = pytest.mark.skipif(
@@ -68,6 +66,15 @@ def sharded(shard_dir):
     return ShardedTrace(shard_dir, chunk_records=CHUNK_SIZE)
 
 
+class FailingPastFirstChunk(IPS):
+    """IPS whose scoring fails on every chunk a pool worker handles."""
+
+    def _stream_chunk(self, new_policy, chunk, propensities, offset):
+        if offset > 0:
+            raise EstimatorError("scoring failed past the first chunk")
+        return super()._stream_chunk(new_policy, chunk, propensities, offset)
+
+
 def assert_same(reference, candidate):
     assert candidate.value == reference.value
     assert np.array_equal(candidate.contributions, reference.contributions)
@@ -77,15 +84,10 @@ def assert_same(reference, candidate):
 @needs_fork
 class TestParallelBitIdentity:
     @pytest.mark.parametrize("name", sorted(ESTIMATOR_FACTORIES))
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    def test_every_estimator_every_transport(
-        self, name, transport, sharded, new_policy
-    ):
+    def test_every_estimator(self, name, sharded, new_policy):
         factory = ESTIMATOR_FACTORIES[name]
         reference = stream_estimate(factory(), new_policy, sharded)
-        parallel = stream_estimate(
-            factory(), new_policy, sharded, workers=2, transport=transport
-        )
+        parallel = stream_estimate(factory(), new_policy, sharded, workers=2)
         assert_same(reference, parallel)
 
     @pytest.mark.parametrize("backend_name", available_backends())
@@ -119,9 +121,7 @@ class TestParallelBitIdentity:
 
     def test_ipc_bytes_recorded(self, sharded, new_policy):
         with obs.capture() as recorder:
-            stream_estimate(
-                IPS(), new_policy, sharded, workers=2, transport="pickle"
-            )
+            stream_estimate(IPS(), new_policy, sharded, workers=2)
         counters = recorder.metrics.snapshot().get("counters", {})
         assert counters.get("harness.pool.ipc.bytes", 0) > 0
 
@@ -132,6 +132,20 @@ class TestParallelBitIdentity:
         monkeypatch.setenv(STREAM_WORKERS_VAR, "2")
         via_env = IPS().estimate(new_policy, sharded)
         assert_same(reference, via_env)
+
+    @pytest.mark.skipif(
+        not Path("/dev/shm").is_dir(), reason="no /dev/shm on this platform"
+    )
+    def test_failed_stream_leaves_no_shared_memory_segments(
+        self, sharded, new_policy
+    ):
+        before = set(Path("/dev/shm").glob("psm_*"))
+        for _ in range(3):
+            with pytest.raises(EstimatorError, match="scoring failed"):
+                stream_estimate(
+                    FailingPastFirstChunk(), new_policy, sharded, workers=2
+                )
+        assert set(Path("/dev/shm").glob("psm_*")) - before == set()
 
     def test_quarantining_reader_degrades_to_sequential(
         self, shard_dir, new_policy
@@ -147,12 +161,6 @@ class TestParallelBitIdentity:
 
 
 class TestValidation:
-    def test_unknown_transport_rejected(self, sharded, new_policy):
-        with pytest.raises(EstimatorError, match="transport"):
-            stream_estimate(
-                IPS(), new_policy, sharded, workers=2, transport="carrier-pigeon"
-            )
-
     def test_zero_workers_rejected(self, sharded, new_policy):
         with pytest.raises(EstimatorError, match="workers"):
             stream_estimate(IPS(), new_policy, sharded, workers=0)
