@@ -28,9 +28,8 @@ from repro.analysis.linter import (
 ESTIMATOR_BASE = "OffPolicyEstimator"
 
 #: Canonical constructor keyword vocabulary for ``core/estimators``
-#: classes (REP003).  A ``**legacy`` var-keyword catch-all is allowed so
-#: deprecated aliases can be funnelled through
-#: :func:`repro.core.estimators.base.resolve_legacy_kwarg`.
+#: classes (REP003).  The vocabulary is closed: a var-keyword catch-all
+#: is flagged too.
 CONSTRUCTOR_VOCABULARY = {
     "self",
     "model",
@@ -169,9 +168,9 @@ class EstimatorInterfaceComplete(ProjectRule):
     implementations and must keep its ``__init__`` keywords inside the
     canonical vocabulary (:data:`CONSTRUCTOR_VOCABULARY`) the
     :mod:`repro.api` registry builds against — a divergent spelling such
-    as ``max_weight=`` or ``tau=`` breaks the facade's uniform
-    ``model=``/``clip=`` contract (deprecated aliases go through a
-    ``**legacy`` catch-all instead).
+    as ``max_weight=`` or ``tau=``, or a ``**kwargs`` catch-all that
+    accepts any spelling, breaks the facade's uniform ``model=``/``clip=``
+    contract.
 
     The same rule guards the wire-format side of the registry: any class
     named ``*Spec``/``*Config``/``*Ref`` that defines one of
@@ -300,22 +299,28 @@ class EstimatorInterfaceComplete(ProjectRule):
         init = class_info.methods.get("__init__")
         if init is None:
             return []
-        violations: List[Violation] = []
-        # A var-keyword (``**legacy``) is explicitly allowed: it is the
-        # designated funnel for deprecated aliases.
-        for parameter in init.params:
-            if parameter not in CONSTRUCTOR_VOCABULARY:
-                allowed = ", ".join(sorted(CONSTRUCTOR_VOCABULARY - {"self"}))
-                violations.append(
-                    self.violation_at(
-                        index.display,
-                        init.line,
-                        f"{class_info.name}.__init__ parameter {parameter!r} "
-                        f"is outside the canonical estimator constructor "
-                        f"vocabulary ({allowed}); route deprecated aliases "
-                        "through **legacy and resolve_legacy_kwarg()",
-                    )
+        allowed = ", ".join(sorted(CONSTRUCTOR_VOCABULARY - {"self"}))
+        violations: List[Violation] = [
+            self.violation_at(
+                index.display,
+                init.line,
+                f"{class_info.name}.__init__ parameter {parameter!r} is "
+                f"outside the canonical estimator constructor vocabulary "
+                f"({allowed})",
+            )
+            for parameter in init.params
+            if parameter not in CONSTRUCTOR_VOCABULARY
+        ]
+        if class_info.has_var_keyword:
+            violations.append(
+                self.violation_at(
+                    index.display,
+                    init.line,
+                    f"{class_info.name}.__init__ takes a var-keyword "
+                    f"catch-all; the canonical estimator constructor "
+                    f"vocabulary ({allowed}) is closed",
                 )
+            )
         return violations
 
     def _implements_estimate(self, project: ProjectIndex, name: str) -> bool:

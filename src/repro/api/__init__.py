@@ -12,8 +12,7 @@ One import, two calls::
 
 :func:`evaluate` runs one named estimator and returns an
 :class:`~repro.core.reporting.EvaluationReport`; :func:`compare` runs a
-panel of estimators through the same report (this is the successor to the
-deprecated ``repro.core.evaluate_policy``).  Estimators are looked up by
+panel of estimators through the same report.  Estimators are looked up by
 name in :data:`repro.api.registry.default_registry`; passing an
 :class:`~repro.core.estimators.OffPolicyEstimator` instance instead of a
 name is always allowed for custom configurations.
@@ -251,11 +250,9 @@ def compare(
 ) -> EvaluationReport:
     """Evaluate *policy* on *trace* with a panel of estimators.
 
-    The default panel (DM, SNIPS, DR) and report semantics are exactly
-    those of the deprecated ``repro.core.evaluate_policy``: each
-    model-based estimator gets a fresh
-    :class:`~repro.core.models.tabular.TabularMeanModel` unless *model*
-    is given (then the one instance is shared — fit once, reused);
+    The default panel is DM, SNIPS and DR.  Each model-based estimator
+    gets a fresh :class:`~repro.core.models.tabular.TabularMeanModel`
+    unless *model* is given (then the one instance is shared — fit once, reused);
     estimators that fail with :class:`~repro.errors.EstimatorError` are
     reported in ``failed`` rather than aborting the panel; ``"dr"`` is
     recommended when it survived, else the first surviving estimator;
@@ -265,7 +262,7 @@ def compare(
     (labelled by their ``name``), or estimator configs
     (:class:`~repro.api.specs.EstimatorConfig` or mapping form, labelled
     by their ``name``); *extra_estimators* appends explicitly labelled
-    instances, mirroring the old ``evaluate_policy`` keyword.  *clip* is
+    instances.  *clip* is
     forwarded to the named estimators that support it (configs carry
     their own options instead).  *policy* accepts the same spec forms as
     :func:`evaluate`, and *diagnostics* behaves as there: one columnar

@@ -8,7 +8,7 @@ the facade needs to build each estimator correctly:
 * ``needs_model`` — the constructor takes a ``model=`` reward model
   (DM/DR-family); when the caller supplies none, the facade builds a
   fresh :class:`~repro.core.models.tabular.TabularMeanModel` per
-  estimator, matching the historical ``evaluate_policy`` panel.
+  estimator.
 * ``supports_clip`` — the constructor takes the canonical ``clip=``
   weight threshold (clipped IPS, DR-family, SWITCH-DR).
 

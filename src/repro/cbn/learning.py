@@ -26,9 +26,9 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 import networkx as nx
 import numpy as np
 
+from repro import kernels
 from repro.cbn.graph import BayesianNetwork, Value
 from repro.errors import SimulationError
-from repro.kernels import get_backend
 
 Row = Mapping[str, Value]
 
@@ -120,7 +120,7 @@ def _fit_encoded(
         flat = np.zeros(encoded.n, dtype=np.intp)
         for parent, parent_domain in zip(parents, parent_domains):
             flat = flat * len(parent_domain) + encoded.codes[parent]
-        get_backend().cpt_accumulate(counts, flat, encoded.codes[variable])
+        kernels.cpt_accumulate(counts, flat, encoded.codes[variable])
         probabilities = counts / counts.sum(axis=1, keepdims=True)
         rows = {
             key: probabilities[position]

@@ -28,8 +28,6 @@ tables EXPERIMENTS.md records;
 [--cache [PATH]] [--jobs N] [--baseline FILE] [--write-baseline FILE]
 [--fix [--dry-run]] PATH...`` runs the :mod:`repro.analysis` linter
 (exit 0 clean, 1 violations, 2 usage).
-
-The historical ``repro-experiments`` script name remains an alias.
 """
 
 from __future__ import annotations

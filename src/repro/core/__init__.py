@@ -93,7 +93,7 @@ from repro.core.propensity import (
     PropensityModel,
 )
 from repro.core.random import ensure_rng, seed_stream, spawn
-from repro.core.reporting import EvaluationReport, evaluate_policy
+from repro.core.reporting import EvaluationReport
 from repro.core.selection import ComparisonResult, PolicyComparator, RankedPolicy
 from repro.core.spaces import DecisionSpace, ProductDecisionSpace
 from repro.core.types import ClientContext, Decision, Trace, TraceColumns, TraceRecord
@@ -172,7 +172,6 @@ __all__ = [
     "jackknife_std_error",
     # reporting
     "EvaluationReport",
-    "evaluate_policy",
     # selection & metrics
     "PolicyComparator",
     "ComparisonResult",

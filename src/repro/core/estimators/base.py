@@ -9,12 +9,12 @@ and diagnostics.
 from __future__ import annotations
 
 import abc
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 import numpy as np
 
+from repro import kernels
 from repro.core.contracts import check_trace, check_weights
 from repro.core.policy import Policy
 from repro.core.propensity import (
@@ -66,42 +66,6 @@ class EstimateResult:
                 "standard error unavailable; use bootstrap_ci for this estimator"
             )
         return (self.value - z * self.std_error, self.value + z * self.std_error)
-
-
-def resolve_legacy_kwarg(
-    owner: str,
-    canonical: str,
-    value: Optional[float],
-    legacy: Dict[str, Any],
-    alias: str,
-) -> Optional[float]:
-    """Resolve a deprecated constructor-keyword alias onto its canonical name.
-
-    Estimator constructors share a canonical keyword vocabulary
-    (``model=``, ``clip=``, ``fit_on_trace=``, ``propensity_source=``,
-    ``rng=``); historical spellings such as ``max_weight=`` and ``tau=``
-    keep working through a ``**legacy`` catch-all that funnels here.
-    Passing the alias emits a :class:`DeprecationWarning`; passing both
-    spellings, or any unknown keyword, raises :class:`EstimatorError`.
-    """
-    unknown = sorted(key for key in legacy if key != alias)
-    if unknown:
-        raise EstimatorError(
-            f"{owner}() got unexpected keyword argument(s): {', '.join(unknown)}"
-        )
-    if alias not in legacy:
-        return value
-    if value is not None:
-        raise EstimatorError(
-            f"{owner}() got both {canonical!r} and its deprecated alias {alias!r}"
-        )
-    warnings.warn(
-        f"{owner}({alias}=...) is deprecated; pass {canonical}= instead "
-        "(the alias is scheduled for removal in 2.0, see DESIGN.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return legacy[alias]
 
 
 def result_from_contributions(
@@ -302,9 +266,7 @@ def checked_importance_ratio(new: np.ndarray, old: np.ndarray) -> np.ndarray:
     :func:`check_weights` contract live, shared by
     :func:`importance_weights` and the chunked overlap diagnostics.
     """
-    from repro.kernels import get_backend  # local: keeps repro.core import-light
-
-    weights = get_backend().importance_ratio(new, old)
+    weights = kernels.importance_ratio(new, old)
     return check_weights(weights, where="importance weights").values
 
 

@@ -22,12 +22,12 @@ from typing import Optional
 
 import numpy as np
 
+from repro import kernels
 from repro.core.contracts import check_weights
 from repro.core.estimators.base import (
     EstimateResult,
     OffPolicyEstimator,
     expected_model_rewards,
-    resolve_legacy_kwarg,
     result_from_contributions,
     weight_diagnostics,
 )
@@ -37,7 +37,6 @@ from repro.core.policy import Policy
 from repro.core.propensity import PropensitySource
 from repro.core.types import Trace
 from repro.errors import EstimatorError
-from repro.kernels import get_backend
 
 
 def _batch_predictions(model: RewardModel, positions, contexts, decisions) -> np.ndarray:
@@ -59,8 +58,7 @@ class DoublyRobust(OffPolicyEstimator):
         Disable to require a pre-fitted model.
     clip:
         Optional clip on the importance weights of the correction term
-        (``None`` = no clipping, the paper's plain DR).  ``max_weight=``
-        is accepted as a deprecated alias.
+        (``None`` = no clipping, the paper's plain DR).
     """
 
     failure_modes = (
@@ -75,11 +73,7 @@ class DoublyRobust(OffPolicyEstimator):
         model: RewardModel,
         fit_on_trace: bool = True,
         clip: Optional[float] = None,
-        **legacy,
     ):
-        clip = resolve_legacy_kwarg(
-            type(self).__name__, "clip", clip, legacy, "max_weight"
-        )
         if clip is not None and clip <= 0:
             raise EstimatorError(f"clip must be positive, got {clip}")
         self._model = model
@@ -124,7 +118,6 @@ class DoublyRobust(OffPolicyEstimator):
         n = len(trace)
         columns = trace.columns()
         model = self._model
-        backend = get_backend()
         if isinstance(model, CrossFitModel):
             # Cross-fitting selects folds by absolute record position, so
             # it stays on the positional batch API.
@@ -151,9 +144,9 @@ class DoublyRobust(OffPolicyEstimator):
             predictions = model.predict_trace(columns)
         old = propensities.propensity_batch(trace)
         new = new_policy.propensity_batch(columns.decisions, columns.contexts)
-        weights = backend.importance_ratio(new, old)
+        weights = kernels.importance_ratio(new, old)
         if self._clip is not None:
-            weights = backend.clip_weights(weights, self._clip)
+            weights = kernels.clip_weights(weights, self._clip)
         residuals = columns.rewards - predictions
         return dm_terms, check_weights(weights, where=self.name).values, residuals
 
@@ -176,7 +169,7 @@ class DoublyRobust(OffPolicyEstimator):
         dm_terms = columns["dm_terms"]
         weights = columns["weights"]
         residuals = columns["residuals"]
-        contributions = get_backend().dr_contributions(dm_terms, weights, residuals)
+        contributions = kernels.dr_contributions(dm_terms, weights, residuals)
         diagnostics = weight_diagnostics(weights)
         diagnostics["dm_value"] = float(dm_terms.mean())
         diagnostics["correction"] = float((weights * residuals).mean())
@@ -210,7 +203,7 @@ class SelfNormalizedDR(DoublyRobust):
         diagnostics["dm_value"] = float(dm_terms.mean())
         if total > 0:
             correction = float(np.dot(weights, residuals) / total)
-            contributions = get_backend().sndr_contributions(
+            contributions = kernels.sndr_contributions(
                 dm_terms, weights, residuals, n / total
             )
         else:

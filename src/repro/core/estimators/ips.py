@@ -17,16 +17,15 @@ standard variance-control variants are included:
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 import numpy as np
 
+from repro import kernels
 from repro.core.estimators.base import (
     EstimateResult,
     OffPolicyEstimator,
     importance_weights,
-    resolve_legacy_kwarg,
     result_from_contributions,
     weight_diagnostics,
 )
@@ -34,7 +33,6 @@ from repro.core.policy import Policy
 from repro.core.propensity import PropensitySource
 from repro.core.types import Trace
 from repro.errors import EstimatorError
-from repro.kernels import get_backend
 
 
 class IPS(OffPolicyEstimator):
@@ -60,7 +58,7 @@ class IPS(OffPolicyEstimator):
 
     def _stream_finalize(self, columns: dict, n: int) -> EstimateResult:
         weights = columns["weights"]
-        contributions = get_backend().ips_contributions(weights, columns["rewards"])
+        contributions = kernels.ips_contributions(weights, columns["rewards"])
         return result_from_contributions(
             self.name, contributions, weight_diagnostics(weights)
         )
@@ -71,15 +69,11 @@ class ClippedIPS(OffPolicyEstimator):
 
     Clipping trades a controlled amount of bias for bounded variance —
     the pragmatic fix when the old policy's exploration is thin.
-    (``max_weight=`` is accepted as a deprecated alias for ``clip=``.)
     """
 
     failure_modes = ("missing-propensities", "propensity-violation")
 
-    def __init__(self, clip: Optional[float] = None, **legacy):
-        clip = resolve_legacy_kwarg(
-            type(self).__name__, "clip", clip, legacy, "max_weight"
-        )
+    def __init__(self, clip: Optional[float] = None):
         if clip is None:
             clip = 10.0
         if clip <= 0:
@@ -93,17 +87,6 @@ class ClippedIPS(OffPolicyEstimator):
     @property
     def clip(self) -> float:
         """The clipping threshold."""
-        return self._clip
-
-    @property
-    def max_weight(self) -> float:
-        """Deprecated spelling of :attr:`clip` (kept for compatibility)."""
-        warnings.warn(
-            "ClippedIPS.max_weight is deprecated; read .clip instead "
-            "(removal planned for 2.0, see DESIGN.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
         return self._clip
 
     def _stream_chunk(
@@ -120,9 +103,8 @@ class ClippedIPS(OffPolicyEstimator):
 
     def _stream_finalize(self, columns: dict, n: int) -> EstimateResult:
         weights = columns["weights"]
-        backend = get_backend()
-        clipped = backend.clip_weights(weights, self._clip)
-        contributions = backend.ips_contributions(clipped, columns["rewards"])
+        clipped = kernels.clip_weights(weights, self._clip)
+        contributions = kernels.ips_contributions(clipped, columns["rewards"])
         diagnostics = weight_diagnostics(clipped)
         diagnostics["clipped_fraction"] = float((weights > self._clip).mean())
         return result_from_contributions(self.name, contributions, diagnostics)

@@ -10,17 +10,16 @@ are tame — useful exactly in the low-randomness logging regimes of §4.1.
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 import numpy as np
 
+from repro import kernels
 from repro.core.contracts import check_weights
 from repro.core.estimators.base import (
     EstimateResult,
     OffPolicyEstimator,
     expected_model_rewards,
-    resolve_legacy_kwarg,
     result_from_contributions,
     weight_diagnostics,
 )
@@ -29,7 +28,6 @@ from repro.core.policy import Policy
 from repro.core.propensity import PropensitySource
 from repro.core.types import Trace
 from repro.errors import EstimatorError
-from repro.kernels import get_backend
 
 
 class SwitchDR(OffPolicyEstimator):
@@ -42,7 +40,7 @@ class SwitchDR(OffPolicyEstimator):
     clip:
         Weight threshold; records with ``w_k > clip`` contribute only
         their DM term.  ``clip = inf`` recovers plain DR; ``clip = 0``
-        recovers plain DM.  ``tau=`` is accepted as a deprecated alias.
+        recovers plain DM.
     """
 
     failure_modes = (
@@ -57,9 +55,7 @@ class SwitchDR(OffPolicyEstimator):
         model: RewardModel,
         clip: Optional[float] = None,
         fit_on_trace: bool = True,
-        **legacy,
     ):
-        clip = resolve_legacy_kwarg(type(self).__name__, "clip", clip, legacy, "tau")
         if clip is None:
             clip = 10.0
         if clip < 0:
@@ -75,17 +71,6 @@ class SwitchDR(OffPolicyEstimator):
     @property
     def clip(self) -> float:
         """The switching threshold."""
-        return self._clip
-
-    @property
-    def tau(self) -> float:
-        """Deprecated spelling of :attr:`clip` (kept for compatibility)."""
-        warnings.warn(
-            "SwitchDR.tau is deprecated; read .clip instead "
-            "(removal planned for 2.0, see DESIGN.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
         return self._clip
 
     def _stream_setup(self, new_policy: Policy, trace) -> None:
@@ -117,7 +102,7 @@ class SwitchDR(OffPolicyEstimator):
         )
         old = propensities.propensity_batch(chunk)
         new = new_policy.propensity_batch(columns.decisions, columns.contexts)
-        weights = get_backend().importance_ratio(new, old)
+        weights = kernels.importance_ratio(new, old)
         # Residual predictions are only requested for non-switched records,
         # matching the scalar path (a model that cannot score a switched
         # record's logged decision must not be asked to).  The switch is

@@ -16,11 +16,11 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro import kernels
 from repro.core.models.base import RewardModel, check_batch_lengths
 from repro.core.models.featurize import OneHotEncoder, Standardizer
 from repro.core.types import ClientContext, Decision, Trace
 from repro.errors import ModelError
-from repro.kernels import get_backend
 
 
 class KNNRewardModel(RewardModel):
@@ -68,11 +68,10 @@ class KNNRewardModel(RewardModel):
         indices = np.flatnonzero(mask)
         if indices.size == 0:
             return None
-        backend = get_backend()
         candidates = self._matrix[indices]
-        distances = backend.knn_distances(candidates, query)
+        distances = kernels.knn_distances(candidates, query)
         k = min(self._k, indices.size)
-        nearest = backend.topk_indices(distances, k)
+        nearest = kernels.topk_indices(distances, k)
         rewards = self._rewards[indices[nearest]]
         if not self._weighted:
             return float(rewards.mean())

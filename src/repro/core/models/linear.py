@@ -14,11 +14,11 @@ from typing import Optional
 
 import numpy as np
 
+from repro import kernels
 from repro.core.models.base import RewardModel
 from repro.core.models.featurize import OneHotEncoder
 from repro.core.types import ClientContext, Decision, Trace
 from repro.errors import ModelError
-from repro.kernels import get_backend
 
 
 class RidgeRewardModel(RewardModel):
@@ -50,7 +50,7 @@ class RidgeRewardModel(RewardModel):
         self._encoder.fit(trace)
         design = self._encoder.encode_trace(trace)
         targets = trace.rewards()
-        self._coefficients, self._intercept = get_backend().ridge_solve(
+        self._coefficients, self._intercept = kernels.ridge_solve(
             design, targets, self._alpha
         )
 

@@ -8,7 +8,7 @@ when they do not (omitting the NAT flag in the VIA scenario turns this
 model into the biased VIA evaluator).
 
 Fit and prediction both run columnar: fitting accumulates bucket sums
-through the kernel backend's in-order ``bucket_accumulate`` (bit-identical
+through the in-order :func:`repro.kernels.bucket_accumulate` (bit-identical
 to the historical per-record ``+=`` loop), and the ``predict_trace*``
 fast paths encode each :class:`~repro.core.types.TraceColumns` view's
 records into bucket codes once (memoised on the columns object) so the
@@ -22,10 +22,10 @@ from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.core.models.base import RewardModel, check_batch_lengths
 from repro.core.types import ClientContext, Decision, Trace, TraceColumns
 from repro.errors import ModelError
-from repro.kernels import get_backend
 
 #: Process-wide fit tokens: each successful fit gets a fresh token, so
 #: per-columns consumer caches keyed on it can never serve encodings
@@ -94,15 +94,14 @@ class _FitAccumulator:
         self.decision_counts = self._grown(
             self.decision_counts, len(decision_positions)
         )
-        backend = get_backend()
         rewards = columns.rewards
-        backend.bucket_accumulate(self.bucket_sums, self.bucket_counts, bucket_ids, rewards)
-        backend.bucket_accumulate(
+        kernels.bucket_accumulate(self.bucket_sums, self.bucket_counts, bucket_ids, rewards)
+        kernels.bucket_accumulate(
             self.decision_sums, self.decision_counts, decision_ids, rewards
         )
         # The global mean is a single left-fold over all rewards in trace
         # order; a one-cell bucket accumulation reproduces it exactly.
-        backend.bucket_accumulate(
+        kernels.bucket_accumulate(
             self.total, self.total_count, np.zeros(n, dtype=np.intp), rewards
         )
         self.records += n

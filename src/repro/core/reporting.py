@@ -7,16 +7,13 @@ single structured result with a text rendering.  This is the "principled
 platform for networking trace-driven evaluation" (§3) as an artifact:
 one call, one reviewable report.
 
-The report *builder* now lives in :mod:`repro.api`
-(:func:`repro.api.evaluate` / :func:`repro.api.compare`);
-:func:`evaluate_policy` remains as a deprecated shim over
-:func:`repro.api.compare`.
+The report *builder* lives in :mod:`repro.api`
+(:func:`repro.api.evaluate` / :func:`repro.api.compare`).
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
@@ -24,12 +21,8 @@ import numpy as np
 
 from repro.core.bootstrap import BootstrapResult
 from repro.core.diagnostics import OverlapReport
-from repro.core.estimators import EstimateResult, OffPolicyEstimator
-from repro.core.models.base import RewardModel
-from repro.core.policy import Policy
-from repro.core.propensity import PropensityModel
+from repro.core.estimators import EstimateResult
 from repro.core.serialize import decode_value, encode_value, float_list
-from repro.core.types import Trace
 from repro.errors import TraceError
 
 #: Payload discriminator for serialised reports.
@@ -294,60 +287,3 @@ class EvaluationReport:
                 f"evaluation-report payload is not valid JSON: {error}"
             ) from None
         return cls.from_json_dict(payload)
-
-
-def evaluate_policy(
-    new_policy: Policy,
-    trace: Trace,
-    old_policy: Optional[Policy] = None,
-    propensity_model: Optional[PropensityModel] = None,
-    model: Optional[RewardModel] = None,
-    extra_estimators: Optional[Dict[str, OffPolicyEstimator]] = None,
-    bootstrap_replicates: int = 0,
-    rng=None,
-) -> EvaluationReport:
-    """Evaluate *new_policy* on *trace* with the standard estimator panel.
-
-    .. deprecated:: 1.0
-        Use :func:`repro.api.compare` — same panel (DM, SNIPS, DR), same
-        report, trace-first argument order.  This shim delegates to it
-        and will be removed in 2.0 (see DESIGN.md §9).
-
-    Runs DM, SNIPS and DR (plus any *extra_estimators*), computes the
-    overlap diagnostics, recommends DR (falling back to DM when no
-    weight-based estimate survived), and optionally bootstraps the
-    recommended estimator.
-
-    Parameters
-    ----------
-    model:
-        Reward model for DM and DR.  When given, the instance is shared
-        (fit once on the trace, reused by both); when omitted, each
-        estimator gets its own fresh
-        :class:`~repro.core.models.tabular.TabularMeanModel`.
-    bootstrap_replicates:
-        0 disables the bootstrap section.
-    """
-    warnings.warn(
-        "evaluate_policy() is deprecated; call repro.api.compare(trace, "
-        "policy, ...) instead (removal planned for 2.0, see DESIGN.md §9)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    # Imported lazily: repro.api itself imports this module for the
-    # EvaluationReport type.
-    from repro import api
-
-    # Propensity resolution priority is old policy > propensity model, so
-    # forwarding the winning source is behaviour-identical to forwarding
-    # both (see resolve_propensity_source).
-    propensities = old_policy if old_policy is not None else propensity_model
-    return api.compare(
-        trace,
-        new_policy,
-        model=model,
-        propensities=propensities,
-        extra_estimators=extra_estimators,
-        bootstrap_replicates=bootstrap_replicates,
-        rng=rng,
-    )

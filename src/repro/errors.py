@@ -179,12 +179,6 @@ class ModelError(ReproError):
     """A reward model was used before fitting or fit on unusable data."""
 
 
-class KernelError(ReproError):
-    """The compiled-kernel registry was misconfigured (unknown backend
-    name in ``REPRO_KERNELS``, or an explicitly requested backend whose
-    dependency is not installed)."""
-
-
 class SimulationError(ReproError):
     """A simulation substrate was configured inconsistently."""
 

@@ -3,7 +3,7 @@
 Each driver returns a structured result with a ``render()`` (or a
 dedicated renderer) producing the paper-style text rows.  The benchmark
 suite under ``benchmarks/`` wraps these with pytest-benchmark and asserts
-the qualitative shapes; the CLI (``repro-experiments``) runs them at full
+the qualitative shapes; the CLI (``repro run <id>``) runs them at full
 scale.
 """
 

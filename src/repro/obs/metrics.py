@@ -37,13 +37,12 @@ from repro.errors import TelemetryError
 TIMING_SUFFIXES = ("duration", "seconds", "wall", "cpu")
 
 #: Dotted-name prefixes of **environment metrics** — values that record
-#: *how* the run executed (which kernel backend resolved, how many bytes
-#: crossed the pool's result pipe) rather than *what* the seeded
-#: experiment computed.  Like timing metrics they are excluded from
-#: deterministic snapshots: the same sweep must journal byte-identical
-#: telemetry whether it ran on numpy or numba, in one process or a pool.
+#: *how* the run executed (how many bytes crossed the pool's result
+#: pipe, HTTP transport counts) rather than *what* the seeded experiment
+#: computed.  Like timing metrics they are excluded from deterministic
+#: snapshots: the same sweep must journal byte-identical telemetry
+#: whether it ran in one process or a pool.
 ENVIRONMENT_PREFIXES = (
-    "kernels.backend",
     "harness.pool.ipc",
     "serve.http",
     "live.ingest.rate",

@@ -31,12 +31,20 @@ def _check_number(where: str, what: str, value: Any) -> None:
         _fail(where, f"{what} must be a number, got {type(value).__name__}")
 
 
+def _check_count(where: str, what: str, value: Any) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        _fail(where, f"{what} must be a non-negative integer, got {value!r}")
+
+
 def _check_metrics(where: str, metrics: Any) -> None:
     if not isinstance(metrics, dict):
         _fail(where, "telemetry metrics must be an object")
     unknown = set(metrics) - set(SNAPSHOT_SECTIONS)
     if unknown:
         _fail(where, f"unknown metric sections {sorted(unknown)}")
+    for section in SNAPSHOT_SECTIONS:
+        if not isinstance(metrics.get(section, {}), dict):
+            _fail(where, f"metric section {section!r} must be an object")
     for name, value in metrics.get("counters", {}).items():
         _check_number(where, f"counter {name!r}", value)
     for name, entry in metrics.get("gauges", {}).items():
@@ -105,6 +113,7 @@ def validate_telemetry_file(path: Union[str, Path]) -> Mapping[str, Any]:
             for key in ("experiment", "root_seed", "runs"):
                 if key not in payload:
                     _fail(where, f"header missing {key!r}")
+            _check_count(where, "header 'runs'", payload["runs"])
             header = payload
             continue
         if saw_summary:
@@ -116,8 +125,9 @@ def validate_telemetry_file(path: Union[str, Path]) -> Mapping[str, Any]:
                     _fail(where, f"run line missing {key!r}")
             if payload["duration"] != 0.0:
                 _fail(where, "run duration must be canonicalised to 0.0")
+            _check_count(where, "run 'index'", payload["index"])
             _check_telemetry(where, payload["telemetry"])
-            run_indices.append(int(payload["index"]))
+            run_indices.append(payload["index"])
         elif kind == "summary":
             if "telemetry" not in payload:
                 _fail(where, "summary line missing 'telemetry'")
@@ -132,7 +142,7 @@ def validate_telemetry_file(path: Union[str, Path]) -> Mapping[str, Any]:
         raise TelemetryError(f"{path}: telemetry file has no summary line")
     if run_indices != list(range(len(run_indices))):
         raise TelemetryError(f"{path}: run lines are not in dense index order")
-    if len(run_indices) != int(header["runs"]):
+    if len(run_indices) != header["runs"]:
         raise TelemetryError(
             f"{path}: header promises {header['runs']} runs, "
             f"found {len(run_indices)} run lines"

@@ -86,7 +86,7 @@ _EVALUATE_KEYS = frozenset(
     }
 )
 # compare() takes no propensity_floor (the panel resolves propensities
-# per estimator the same way evaluate_policy always did).
+# per estimator, as api.compare does).
 _COMPARE_KEYS = (_EVALUATE_KEYS - {"estimator", "propensity_floor"}) | {
     "estimators"
 }

@@ -7,7 +7,7 @@ class AliasKeywordEstimator(OffPolicyEstimator):
     """Implements the hook but spells its constructor keywords wrong."""
 
     def __init__(self, reward_model, max_weight=10.0, **legacy):
-        """Non-canonical spellings; only **legacy is allowed as-is."""
+        """Non-canonical spellings plus a var-keyword catch-all."""
         self._model = reward_model
         self._clip = max_weight
 

@@ -98,13 +98,14 @@ class TestRep003:
         assert [(v.rule_id, v.line) for v in vocabulary] == [
             ("REP003", 9),
             ("REP003", 9),
+            ("REP003", 9),
         ]
         messages = "\n".join(v.message for v in vocabulary)
-        # The two named parameters are flagged; the **legacy catch-all
-        # (the designated alias funnel) is allowed.
+        # The two named parameters and the var-keyword catch-all are all
+        # flagged: the vocabulary is closed.
         assert "'reward_model'" in messages
         assert "'max_weight'" in messages
-        assert "resolve_legacy_kwarg" in messages
+        assert "var-keyword catch-all" in messages
 
     def test_flags_half_serialized_spec_classes(self):
         found = violations_for(str(FIXTURES / "rep003_spec_bad.py"))

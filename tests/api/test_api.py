@@ -3,8 +3,8 @@
 The facade's contract is that it adds nothing numerically: building an
 estimator through the registry and calling :func:`repro.api.evaluate`
 must be bit-identical to constructing the class and calling
-``estimate()`` directly.  These tests pin that contract, the registry's
-error paths, and the deprecation shims the facade supersedes.
+``estimate()`` directly.  These tests pin that contract and the
+registry's error paths.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import pytest
 import repro
 from repro import api, core
 from repro.api.registry import Registry, default_registry
-from repro.core.reporting import evaluate_policy
 from repro.errors import EstimatorError
 
 from tests.conftest import make_uniform_trace
@@ -98,21 +97,6 @@ class TestFacadeBitIdentity:
 
 
 class TestCompare:
-    def test_matches_deprecated_evaluate_policy(self, trace, new_policy):
-        with pytest.warns(DeprecationWarning, match="repro.api.compare"):
-            old_report = evaluate_policy(
-                new_policy, trace, bootstrap_replicates=40, rng=0
-            )
-        new_report = api.compare(
-            trace, new_policy, bootstrap_replicates=40, rng=0
-        )
-        assert set(new_report.estimates) == set(old_report.estimates)
-        for name in new_report.estimates:
-            assert new_report.estimates[name].value == old_report.estimates[name].value
-        assert new_report.recommended == old_report.recommended
-        assert new_report.bootstrap.lower == old_report.bootstrap.lower
-        assert new_report.render() == old_report.render()
-
     def test_extra_estimators_and_instances(self, trace, new_policy):
         report = api.compare(
             trace,
@@ -220,39 +204,15 @@ class TestRegistry:
         with pytest.raises(EstimatorError):
             api.evaluate(trace, new_policy, estimator="dr", registry=registry)
 
-
-class TestDeprecatedAliases:
-    def test_clipped_ips_max_weight_alias(self, trace, new_policy):
-        with pytest.warns(DeprecationWarning, match="clip="):
-            aliased = core.ClippedIPS(max_weight=2.0)
-        assert aliased.clip == 2.0
-        canonical = core.ClippedIPS(clip=2.0)
-        assert (
-            aliased.estimate(new_policy, trace).value
-            == canonical.estimate(new_policy, trace).value
-        )
-        with pytest.warns(DeprecationWarning):
-            assert aliased.max_weight == 2.0
-
-    def test_switch_dr_tau_alias(self):
-        with pytest.warns(DeprecationWarning, match="clip="):
-            aliased = core.SwitchDR(core.TabularMeanModel(), tau=4.0)
-        assert aliased.clip == 4.0
-        with pytest.warns(DeprecationWarning):
-            assert aliased.tau == 4.0
-
-    def test_dr_max_weight_alias(self):
-        with pytest.warns(DeprecationWarning, match="clip="):
-            aliased = core.DoublyRobust(core.TabularMeanModel(), max_weight=4.0)
-        assert aliased.clip == 4.0
-
-    def test_both_spellings_rejected(self):
-        with pytest.raises(EstimatorError, match="deprecated alias"):
-            core.ClippedIPS(clip=2.0, max_weight=3.0)
-
     def test_unknown_keyword_rejected(self):
-        with pytest.raises(EstimatorError, match="unexpected keyword"):
+        # The constructor vocabulary is closed: the removed max_weight=
+        # and tau= aliases are unknown keywords like any other.
+        with pytest.raises(TypeError):
             core.ClippedIPS(threshold=2.0)
+        with pytest.raises(TypeError):
+            core.ClippedIPS(max_weight=2.0)
+        with pytest.raises(TypeError):
+            core.SwitchDR(core.TabularMeanModel(), tau=4.0)
 
 
 class TestReExports:

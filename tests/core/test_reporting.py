@@ -1,10 +1,9 @@
-"""Tests for the one-stop evaluation report."""
+"""Tests for the one-stop evaluation report built by ``api.compare``."""
 
 import numpy as np
 import pytest
 
-from repro import core
-from repro.core.reporting import evaluate_policy
+from repro import api, core
 from repro.core.types import ClientContext, Trace, TraceRecord
 from repro.errors import EstimatorError
 
@@ -27,7 +26,7 @@ def new_policy(abc_space):
 
 class TestEvaluatePolicy:
     def test_standard_panel(self, trace, new_policy):
-        result = evaluate_policy(new_policy, trace)
+        result = api.compare(trace, new_policy)
         assert set(result.estimates) == {"dm", "snips", "dr"}
         assert result.recommended == "dr"
         assert result.value == pytest.approx(3.0, abs=0.25)
@@ -35,23 +34,23 @@ class TestEvaluatePolicy:
         assert result.bootstrap is None
 
     def test_with_bootstrap(self, trace, new_policy):
-        result = evaluate_policy(
-            new_policy, trace, bootstrap_replicates=40, rng=0
+        result = api.compare(
+            trace, new_policy, bootstrap_replicates=40, rng=0
         )
         assert result.bootstrap is not None
         assert result.bootstrap.lower <= result.value <= result.bootstrap.upper
 
     def test_custom_model_shared(self, trace, new_policy):
         model = core.OracleRewardModel(_truth)
-        result = evaluate_policy(new_policy, trace, model=model)
+        result = api.compare(trace, new_policy, model=model)
         # With an exact model DM and DR agree in expectation (here the
         # rewards are noisy, so they differ only via the correction).
         assert result.estimates["dm"].value == pytest.approx(3.0, abs=1e-9)
 
     def test_extra_estimators(self, trace, new_policy):
-        result = evaluate_policy(
-            new_policy,
+        result = api.compare(
             trace,
+            new_policy,
             extra_estimators={"ips": core.IPS()},
         )
         assert "ips" in result.estimates
@@ -66,13 +65,13 @@ class TestEvaluatePolicy:
                 for i in range(20)
             ]
         )
-        result = evaluate_policy(new_policy, trace)
+        result = api.compare(trace, new_policy)
         assert "snips" in result.failed
         assert "dm" in result.estimates
         assert not result.overlap.healthy()
 
     def test_render_sections(self, trace, new_policy):
-        text = evaluate_policy(new_policy, trace, bootstrap_replicates=20, rng=0).render()
+        text = api.compare(trace, new_policy, bootstrap_replicates=20, rng=0).render()
         assert "evaluation report" in text
         assert "recommended" in text
         assert "bootstrap" in text
@@ -80,4 +79,4 @@ class TestEvaluatePolicy:
 
     def test_empty_trace_rejected(self, new_policy):
         with pytest.raises(EstimatorError):
-            evaluate_policy(new_policy, Trace())
+            api.compare(Trace(), new_policy)

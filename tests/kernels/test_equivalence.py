@@ -1,12 +1,9 @@
-"""Every kernel backend is bit-identical to the numpy reference.
+"""Columnar tabular-model fast paths are bit-identical to the batch API.
 
-This is the backend dimension of the repo's equivalence matrix: the
-batch-vs-scalar and stream-vs-dense suites pin the *shape* of the
-computation, this suite pins the *implementation* — each registered
-backend must reproduce the numpy backend's float64 outputs exactly, for
-the kernels themselves and for full estimator runs built on them.  On a
-numpy-only environment the sweep degenerates to a self-check; the CI
-optional-deps leg installs numba and runs the real comparison.
+``TabularMeanModel.predict_trace`` / ``predict_trace_for_decision``
+encode a trace's columns into bucket codes once and gather predictions;
+they must reproduce ``predict_batch`` exactly, including its error
+message and cache invalidation on refit.
 """
 
 from __future__ import annotations
@@ -14,31 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.estimators import (
-    IPS,
-    ClippedIPS,
-    DirectMethod,
-    DoublyRobust,
-    SelfNormalizedDR,
-    SwitchDR,
-)
-from repro.core.models.knn import KNNRewardModel
-from repro.core.models.linear import RidgeRewardModel
 from repro.core.models.tabular import TabularMeanModel
 from repro.errors import ModelError
-from repro.kernels import available_backends, backend_for, use_backend
 from repro.workloads.synthetic import SyntheticWorkload
-
-BACKENDS = available_backends()
-
-ESTIMATOR_FACTORIES = {
-    "ips": lambda: IPS(),
-    "clipped-ips": lambda: ClippedIPS(clip=5.0),
-    "dm": lambda: DirectMethod(TabularMeanModel()),
-    "dr": lambda: DoublyRobust(TabularMeanModel()),
-    "sndr": lambda: SelfNormalizedDR(TabularMeanModel()),
-    "switch-dr": lambda: SwitchDR(TabularMeanModel(), clip=5.0),
-}
 
 
 @pytest.fixture(scope="module")
@@ -50,104 +25,6 @@ def workload():
 def trace(workload):
     old = workload.logging_policy(epsilon=0.3)
     return workload.generate_trace(old, 400, np.random.default_rng(11))
-
-
-@pytest.fixture(scope="module")
-def new_policy(workload):
-    return workload.logging_policy(epsilon=0.1, base_index=1)
-
-
-@pytest.mark.parametrize("backend_name", BACKENDS)
-class TestBackendBitIdentity:
-    @pytest.mark.parametrize("estimator_name", sorted(ESTIMATOR_FACTORIES))
-    def test_estimators_match_numpy(
-        self, backend_name, estimator_name, trace, new_policy
-    ):
-        with use_backend("numpy"):
-            reference = ESTIMATOR_FACTORIES[estimator_name]().estimate(
-                new_policy, trace
-            )
-        with use_backend(backend_name):
-            candidate = ESTIMATOR_FACTORIES[estimator_name]().estimate(
-                new_policy, trace
-            )
-        assert candidate.value == reference.value
-        assert np.array_equal(candidate.contributions, reference.contributions)
-        assert candidate.diagnostics == reference.diagnostics
-
-    def test_ridge_matches_numpy(self, backend_name, trace):
-        with use_backend("numpy"):
-            reference = RidgeRewardModel(alpha=0.5)
-            reference.fit(trace)
-        with use_backend(backend_name):
-            candidate = RidgeRewardModel(alpha=0.5)
-            candidate.fit(trace)
-        assert np.array_equal(candidate._coefficients, reference._coefficients)
-        assert candidate._intercept == reference._intercept
-
-    def test_knn_matches_numpy(self, backend_name, trace):
-        queries = list(trace)[:25]
-        with use_backend("numpy"):
-            reference = KNNRewardModel(k=3)
-            reference.fit(trace)
-            expected = [
-                reference.predict(r.context, r.decision) for r in queries
-            ]
-        with use_backend(backend_name):
-            candidate = KNNRewardModel(k=3)
-            candidate.fit(trace)
-            actual = [
-                candidate.predict(r.context, r.decision) for r in queries
-            ]
-        assert actual == expected
-
-    def test_elementwise_kernels_match_numpy(self, backend_name):
-        rng = np.random.default_rng(5)
-        reference = backend_for("numpy")
-        candidate = backend_for(backend_name)
-        old = rng.uniform(0.05, 1.0, size=200)
-        new = rng.uniform(0.0, 1.0, size=200)
-        weights = candidate.importance_ratio(new, old)
-        assert np.array_equal(weights, reference.importance_ratio(new, old))
-        assert np.array_equal(
-            candidate.clip_weights(weights, 2.5),
-            reference.clip_weights(weights, 2.5),
-        )
-        dm = rng.normal(size=200)
-        residuals = rng.normal(size=200)
-        assert np.array_equal(
-            candidate.dr_contributions(dm, weights, residuals),
-            reference.dr_contributions(dm, weights, residuals),
-        )
-        assert np.array_equal(
-            candidate.sndr_contributions(dm, weights, residuals, 0.875),
-            reference.sndr_contributions(dm, weights, residuals, 0.875),
-        )
-        rewards = rng.normal(size=200)
-        assert np.array_equal(
-            candidate.ips_contributions(weights, rewards),
-            reference.ips_contributions(weights, rewards),
-        )
-
-    def test_accumulators_match_numpy(self, backend_name):
-        rng = np.random.default_rng(9)
-        reference = backend_for("numpy")
-        candidate = backend_for(backend_name)
-        rows = rng.integers(0, 6, size=300).astype(np.intp)
-        codes = rng.integers(0, 4, size=300).astype(np.intp)
-        counts_a = np.full((6, 4), 1.0)
-        counts_b = counts_a.copy()
-        candidate.cpt_accumulate(counts_a, rows, codes)
-        reference.cpt_accumulate(counts_b, rows, codes)
-        assert np.array_equal(counts_a, counts_b)
-        ids = rng.integers(-1, 5, size=300).astype(np.intp)
-        values = rng.normal(size=300)
-        sums_a, counts_a = np.zeros(5), np.zeros(5)
-        sums_b, counts_b = np.zeros(5), np.zeros(5)
-        candidate.bucket_accumulate(sums_a, counts_a, ids, values)
-        reference.bucket_accumulate(sums_b, counts_b, ids, values)
-        assert np.array_equal(sums_a, sums_b)
-        assert np.array_equal(counts_a, counts_b)
 
 
 class TestTabularTracePaths:

@@ -1,148 +1,43 @@
-"""Kernel backend registry: selection, gating, and degraded paths.
-
-The registry's contract is that backend choice is an *environment*
-concern, never a results concern: ``REPRO_KERNELS`` picks the
-implementation, a missing ``numba`` silently degrades ``auto`` to
-numpy, and an explicit request for an absent backend is a loud
-:class:`~repro.errors.KernelError` — never a silent fallback.
-"""
+"""Reference tests for the plain numpy kernels in :mod:`repro.kernels`."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro import obs
-from repro.errors import KernelError
-from repro.kernels import (
-    BACKEND_NAMES,
-    ENV_VAR,
-    available_backends,
-    backend_for,
-    get_backend,
-    numba_available,
-    reset_backend_cache,
-    use_backend,
-)
-from repro.obs.metrics import is_environment_metric
-
-
-@pytest.fixture(autouse=True)
-def clean_cache(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    reset_backend_cache()
-    yield
-    reset_backend_cache()
-
-
-class TestSelection:
-    def test_numpy_always_available(self):
-        assert "numpy" in available_backends()
-
-    def test_default_is_a_known_backend(self):
-        assert get_backend().name in BACKEND_NAMES
-
-    def test_explicit_numpy(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        reset_backend_cache()
-        assert get_backend().name == "numpy"
-
-    def test_auto_without_numba_is_numpy(self, monkeypatch):
-        if numba_available():
-            pytest.skip("numba installed; auto legitimately picks it")
-        monkeypatch.setenv(ENV_VAR, "auto")
-        reset_backend_cache()
-        assert get_backend().name == "numpy"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(KernelError):
-            backend_for("cuda")
-
-    def test_unknown_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "cuda")
-        reset_backend_cache()
-        with pytest.raises(KernelError):
-            get_backend()
-
-    def test_explicit_numba_when_absent_is_loud(self, monkeypatch):
-        if numba_available():
-            pytest.skip("numba installed; the absent-dependency path is moot")
-        monkeypatch.setenv(ENV_VAR, "numba")
-        reset_backend_cache()
-        with pytest.raises(KernelError, match="numba is not installed"):
-            get_backend()
-
-    def test_use_backend_overrides_and_restores(self):
-        before = get_backend().name
-        with use_backend("numpy"):
-            assert get_backend().name == "numpy"
-        assert get_backend().name == before
-
-    def test_selection_is_cached(self):
-        assert get_backend() is get_backend()
-
-
-class TestTelemetry:
-    def test_backend_metric_recorded(self):
-        with obs.capture() as recorder:
-            get_backend()
-        name = get_backend().name
-        counters = recorder.metrics.snapshot().get("counters", {})
-        assert counters.get(f"kernels.backend.{name}") == 1
-
-    def test_backend_metric_is_environment_scoped(self):
-        # Environment metrics must vanish from deterministic snapshots:
-        # the same sweep run under numpy and numba must journal
-        # byte-identical telemetry.
-        assert is_environment_metric("kernels.backend.numpy")
-        assert is_environment_metric("harness.pool.ipc.bytes")
-        assert not is_environment_metric("ope.stream.chunks")
-
-    def test_deterministic_snapshot_drops_backend_metric(self):
-        with obs.capture() as recorder:
-            get_backend()
-        deterministic = recorder.metrics.snapshot(deterministic=True)
-        for section in deterministic.values():
-            assert not any(
-                key.startswith("kernels.backend") for key in section
-            )
+from repro import kernels
 
 
 class TestNumpyKernels:
     def test_cpt_accumulate_matches_add_at(self):
-        backend = backend_for("numpy")
         rng = np.random.default_rng(0)
         counts = np.full((4, 3), 0.5)
         expected = counts.copy()
         rows = rng.integers(0, 4, size=50).astype(np.intp)
         codes = rng.integers(0, 3, size=50).astype(np.intp)
-        backend.cpt_accumulate(counts, rows, codes)
+        kernels.cpt_accumulate(counts, rows, codes)
         np.add.at(expected, (rows, codes), 1.0)
         assert np.array_equal(counts, expected)
 
     def test_bucket_accumulate_skips_negative_ids(self):
-        backend = backend_for("numpy")
         sums = np.zeros(3)
         counts = np.zeros(3)
         ids = np.asarray([0, -1, 2, 2, -1, 0], dtype=np.intp)
         values = np.asarray([1.0, 99.0, 2.0, 3.0, 99.0, 4.0])
-        backend.bucket_accumulate(sums, counts, ids, values)
+        kernels.bucket_accumulate(sums, counts, ids, values)
         assert np.array_equal(sums, [5.0, 0.0, 5.0])
         assert np.array_equal(counts, [2.0, 0.0, 2.0])
 
     def test_clip_weights_propagates_nan(self):
-        backend = backend_for("numpy")
         weights = np.asarray([0.5, 3.0, np.nan])
-        clipped = backend.clip_weights(weights, 2.0)
+        clipped = kernels.clip_weights(weights, 2.0)
         assert clipped[0] == 0.5 and clipped[1] == 2.0
         assert np.isnan(clipped[2])
 
     def test_ridge_solve_matches_normal_equations(self):
-        backend = backend_for("numpy")
         rng = np.random.default_rng(3)
         design = rng.normal(size=(40, 5))
         targets = rng.normal(size=40)
-        coefficients, intercept = backend.ridge_solve(design, targets, 0.7)
+        coefficients, intercept = kernels.ridge_solve(design, targets, 0.7)
         predictions = design @ coefficients + intercept
         # The closed form minimises the penalised loss; its gradient in
         # the coefficients must vanish on centred data.
@@ -152,7 +47,11 @@ class TestNumpyKernels:
         assert np.allclose(gradient, 0.0, atol=1e-9)
 
     def test_topk_returns_k_smallest(self):
-        backend = backend_for("numpy")
         distances = np.asarray([5.0, 1.0, 4.0, 2.0, 3.0])
-        nearest = backend.topk_indices(distances, 2)
+        nearest = kernels.topk_indices(distances, 2)
         assert sorted(distances[nearest].tolist()) == [1.0, 2.0]
+
+    def test_get_backend_reports_numpy(self):
+        # Bench provenance records ``get_backend().name`` as kernels_backend.
+        assert kernels.get_backend() is kernels
+        assert kernels.get_backend().name == "numpy"

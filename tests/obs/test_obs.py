@@ -9,7 +9,12 @@ import pytest
 
 from repro import obs
 from repro.errors import TelemetryError
-from repro.obs.metrics import MetricsRegistry, is_timing_metric, merge_snapshot
+from repro.obs.metrics import (
+    MetricsRegistry,
+    is_environment_metric,
+    is_timing_metric,
+    merge_snapshot,
+)
 from repro.obs.sinks import (
     merge_profile,
     merge_telemetry,
@@ -137,6 +142,10 @@ class TestMetricsRegistry:
         assert not is_timing_metric("ope.weights.ess")
         assert not is_timing_metric("duration.total")
 
+    def test_is_environment_metric_matches_prefixes(self):
+        assert is_environment_metric("harness.pool.ipc.bytes")
+        assert not is_environment_metric("ope.stream.chunks")
+
     def test_merge_counters_add_and_gauges_last_write(self):
         a = MetricsRegistry()
         a.increment("c", 2)
@@ -241,16 +250,28 @@ class TestTelemetryFile:
         assert len(run_lines) == 2
         assert all(line["duration"] == 0.0 for line in run_lines)
 
-    def test_tampered_file_rejected_with_line_number(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line, tamper",
+        [
+            (1, lambda payload: payload.update(duration=1.5)),
+            (1, lambda payload: payload.update(index="zero")),
+            (0, lambda payload: payload.update(runs="two")),
+            (1, lambda payload: payload.update(telemetry={"metrics": {"counters": []}})),
+        ],
+        ids=["duration", "index", "runs", "counters"],
+    )
+    def test_tampered_file_rejected_with_line_number(self, tmp_path, line, tamper):
+        # Malformed fields must surface as a TelemetryError naming the
+        # line, never as a raw ValueError/AttributeError from the checker.
         path = self._write(tmp_path / "telemetry.jsonl")
         lines = path.read_text().splitlines()
-        broken = json.loads(lines[1])
-        broken["duration"] = 1.5
-        lines[1] = json.dumps(broken)
+        broken = json.loads(lines[line])
+        tamper(broken)
+        lines[line] = json.dumps(broken)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TelemetryError) as excinfo:
             validate_telemetry_file(path)
-        assert ":2:" in str(excinfo.value)
+        assert f":{line + 1}:" in str(excinfo.value)
 
     def test_validator_cli_entrypoint(self, tmp_path, capsys):
         from repro.obs.validate import main

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import core
+from repro import api, core
 from repro.core.types import Trace, TraceRecord
 from repro.errors import EstimatorError, FallbackExhaustedError
 from repro.runtime import (
@@ -171,9 +171,7 @@ class TestReportRendering:
         chain = EstimatorFallbackChain(
             [_AlwaysFails(), core.DirectMethod(core.TabularMeanModel())]
         )
-        report = core.evaluate_policy(
-            new_policy, trace, extra_estimators={"chain": chain}
-        )
+        report = api.compare(trace, new_policy, extra_estimators={"chain": chain})
         text = report.render()
         assert "degraded to dm" in text
         assert "broken: EstimatorError" in text
