@@ -49,6 +49,7 @@ from repro.core.reporting import EvaluationReport
 from repro.core.types import Trace
 from repro.errors import EstimatorError
 from repro.obs.spans import span
+from repro.store.streaming import PanelPass
 
 __all__ = [
     "EstimatorConfig",
@@ -164,8 +165,8 @@ def evaluate(
         instance, an :class:`~repro.api.specs.EstimatorConfig`, or its
         mapping form (``{"name": "dr", "options": {"clip": 10.0}}``).
     model:
-        Reward model for model-based estimators; omitted, each gets a
-        fresh :class:`~repro.core.models.tabular.TabularMeanModel`.
+        Reward model for model-based estimators; omitted, the estimator
+        gets a fresh :class:`~repro.core.models.tabular.TabularMeanModel`.
     propensities:
         Where old-policy propensities come from: the logging
         :class:`Policy`, a fitted :class:`PropensityModel`, or ``None``
@@ -177,12 +178,12 @@ def evaluate(
         Canonical weight threshold for estimators that support it.
     diagnostics:
         Compute the overlap section with
-        :func:`~repro.core.diagnostics.overlap_report`: one columnar pass
-        over the trace's chunks (a sharded trace is never materialised)
-        through the batch policy and propensity APIs, typically a small
-        fraction of the estimate itself.  On a reader opened with
-        ``on_corruption="quarantine"`` it covers the surviving records,
-        like the estimate.  ``False`` leaves ``overlap`` as ``None``.
+        :func:`~repro.core.diagnostics.overlap_report`.  On a chunked
+        trace (never materialised) its columns come from the estimate's
+        own pass over the chunks, so diagnostics cost no second read.  On
+        a reader opened with ``on_corruption="quarantine"`` it covers the
+        surviving records, like the estimate.  ``False`` leaves
+        ``overlap`` as ``None``.
     bootstrap_replicates:
         0 disables the bootstrap section.
     registry:
@@ -198,39 +199,16 @@ def evaluate(
     old_policy, propensity_model = _split_propensities(propensities, registry)
     built = _resolve_estimator(estimator, model, clip, registry)
     with span("api.evaluate", estimator=built.name):
-        result = built.estimate(
-            policy,
+        return _panel_report(
             trace,
+            policy,
+            {built.name: built},
             old_policy=old_policy,
             propensity_model=propensity_model,
             propensity_floor=propensity_floor,
-        )
-        overlap = (
-            overlap_report(
-                policy,
-                trace,
-                old_policy=old_policy,
-                propensity_model=propensity_model,
-            )
-            if diagnostics
-            else None
-        )
-        bootstrap: Optional[BootstrapResult] = None
-        if bootstrap_replicates > 0:
-            bootstrap = bootstrap_ci(
-                built,
-                policy,
-                trace,
-                old_policy=old_policy,
-                propensity_model=propensity_model,
-                replicates=bootstrap_replicates,
-                rng=rng,
-            )
-        return EvaluationReport(
-            estimates={built.name: result},
-            overlap=overlap,
-            bootstrap=bootstrap,
-            recommended=built.name,
+            diagnostics=diagnostics,
+            bootstrap_replicates=bootstrap_replicates,
+            rng=rng,
         )
 
 
@@ -250,13 +228,15 @@ def compare(
 ) -> EvaluationReport:
     """Evaluate *policy* on *trace* with a panel of estimators.
 
-    The default panel is DM, SNIPS and DR.  Each model-based estimator
-    gets a fresh :class:`~repro.core.models.tabular.TabularMeanModel`
-    unless *model* is given (then the one instance is shared — fit once, reused);
-    estimators that fail with :class:`~repro.errors.EstimatorError` are
-    reported in ``failed`` rather than aborting the panel; ``"dr"`` is
-    recommended when it survived, else the first surviving estimator;
-    the optional bootstrap resamples the recommended panel member.
+    The default panel is DM, SNIPS and DR.  The model-based estimators
+    named here share one reward model — *model* when given, else one
+    fresh :class:`~repro.core.models.tabular.TabularMeanModel` — which
+    is fit once and reused (two fits on the same trace would give the
+    same tables); estimators that fail with
+    :class:`~repro.errors.EstimatorError` are reported in ``failed``
+    rather than aborting the panel; ``"dr"`` is recommended when it
+    survived, else the first surviving estimator; the optional bootstrap
+    resamples the recommended panel member.
 
     *estimators* entries are registry names, pre-built instances
     (labelled by their ``name``), or estimator configs
@@ -265,9 +245,13 @@ def compare(
     instances.  *clip* is
     forwarded to the named estimators that support it (configs carry
     their own options instead).  *policy* accepts the same spec forms as
-    :func:`evaluate`, and *diagnostics* behaves as there: one columnar
-    pass over the trace's chunks, over the survivors of a quarantining
-    reader.
+    :func:`evaluate`, and *diagnostics* behaves as there.
+
+    On a chunked trace the panel is one
+    :class:`~repro.store.streaming.PanelPass`: each chunk is read once
+    for every member and the overlap columns, through one fork pool when
+    ``REPRO_STREAM_WORKERS`` asks for one, and the report is byte-identical
+    to the dense path's.
     """
     registry = registry or default_registry
     if len(trace) == 0:
@@ -275,6 +259,8 @@ def compare(
     policy = _resolve_policy(policy, registry)
     old_policy, propensity_model = _split_propensities(propensities, registry)
 
+    # Registry-built members share one default model: fit once, reused.
+    shared_model = model if model is not None else registry.default_model()
     panel: Dict[str, OffPolicyEstimator] = {}
     for entry in estimators:
         if isinstance(entry, OffPolicyEstimator):
@@ -288,15 +274,59 @@ def compare(
         panel[entry] = _adapt_estimator(
             registry.build_estimator(
                 entry,
-                model=model if spec.needs_model else None,
+                model=shared_model if spec.needs_model else None,
                 clip=clip if spec.supports_clip else None,
             )
         )
     panel.update(extra_estimators or {})
 
     with span("api.compare", estimators=",".join(panel)):
-        estimates: Dict[str, EstimateResult] = {}
-        failed: Dict[str, str] = {}
+        return _panel_report(
+            trace,
+            policy,
+            panel,
+            old_policy=old_policy,
+            propensity_model=propensity_model,
+            diagnostics=diagnostics,
+            bootstrap_replicates=bootstrap_replicates,
+            rng=rng,
+            isolate=True,
+        )
+
+
+def _panel_report(
+    trace: Trace,
+    policy: Policy,
+    panel: Dict[str, OffPolicyEstimator],
+    *,
+    old_policy: Optional[Policy],
+    propensity_model: Optional[PropensityModel],
+    propensity_floor: Optional[float] = None,
+    diagnostics: bool,
+    bootstrap_replicates: int,
+    rng,
+    isolate: bool = False,
+) -> EvaluationReport:
+    """Estimate every *panel* member, then the overlap and bootstrap
+    sections, inside one :class:`~repro.store.streaming.PanelPass`.
+
+    With *isolate*, a member's :class:`~repro.errors.EstimatorError`
+    lands in ``failed`` instead of propagating.
+    """
+    # Only evaluate() passes a floor; a compare panel may hold estimators
+    # (the state-aware ones) whose estimate() takes no propensity_floor.
+    floor = {} if propensity_floor is None else {"propensity_floor": propensity_floor}
+    estimates: Dict[str, EstimateResult] = {}
+    failed: Dict[str, str] = {}
+    with PanelPass(
+        policy,
+        trace,
+        panel.values(),
+        old_policy=old_policy,
+        propensity_model=propensity_model,
+        propensity_floor=propensity_floor,
+        overlap=diagnostics,
+    ):
         for label, built in panel.items():
             try:
                 estimates[label] = built.estimate(
@@ -304,15 +334,17 @@ def compare(
                     trace,
                     old_policy=old_policy,
                     propensity_model=propensity_model,
+                    **floor,
                 )
             except EstimatorError as failure:
+                if not isolate:
+                    raise
                 failed[label] = str(failure)
         if not estimates:
             raise EstimatorError(
                 "every estimator failed; see the individual errors: "
                 + repr(failed)
             )
-
         overlap = (
             overlap_report(
                 policy,
@@ -324,7 +356,6 @@ def compare(
             else None
         )
         recommended = "dr" if "dr" in estimates else next(iter(estimates))
-
         bootstrap: Optional[BootstrapResult] = None
         if bootstrap_replicates > 0:
             bootstrap = bootstrap_ci(
@@ -336,10 +367,10 @@ def compare(
                 replicates=bootstrap_replicates,
                 rng=rng,
             )
-        return EvaluationReport(
-            estimates=estimates,
-            overlap=overlap,
-            bootstrap=bootstrap,
-            recommended=recommended,
-            failed=failed,
-        )
+    return EvaluationReport(
+        estimates=estimates,
+        overlap=overlap,
+        bootstrap=bootstrap,
+        recommended=recommended,
+        failed=failed,
+    )

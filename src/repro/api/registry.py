@@ -6,9 +6,10 @@ from name to constructor lives here, together with two capability flags
 the facade needs to build each estimator correctly:
 
 * ``needs_model`` — the constructor takes a ``model=`` reward model
-  (DM/DR-family); when the caller supplies none, the facade builds a
-  fresh :class:`~repro.core.models.tabular.TabularMeanModel` per
-  estimator.
+  (DM/DR-family); when the caller supplies none, the facade builds
+  :meth:`Registry.default_model` (a fresh
+  :class:`~repro.core.models.tabular.TabularMeanModel`), one per
+  ``evaluate`` and one shared by a ``compare`` panel.
 * ``supports_clip`` — the constructor takes the canonical ``clip=``
   weight threshold (clipped IPS, DR-family, SWITCH-DR).
 
@@ -131,7 +132,7 @@ class Registry:
         spec = self.estimator_spec(name)
         options: Dict[str, object] = {}
         if spec.needs_model:
-            options["model"] = model if model is not None else TabularMeanModel()
+            options["model"] = model if model is not None else self.default_model()
         elif model is not None:
             raise EstimatorError(
                 f"estimator {name!r} does not take a reward model"
@@ -143,6 +144,11 @@ class Registry:
                 )
             options["clip"] = clip
         return spec.factory(**options)
+
+    def default_model(self) -> RewardModel:
+        """A fresh instance of the reward model model-needing estimators
+        get when the caller supplies none."""
+        return TabularMeanModel()
 
     # -- policy kinds ---------------------------------------------------
 

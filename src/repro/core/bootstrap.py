@@ -55,8 +55,10 @@ def bootstrap_ci(
     """Percentile-bootstrap confidence interval for an estimator's value.
 
     Each replicate resamples the trace with replacement and re-runs the
-    full estimator (including any model fitting it performs), so the
-    interval reflects model-fitting variability too.  Replicates on which
+    estimator on the resample.  A reward model is *not* refit per
+    replicate: model-based estimators fit only an unfitted model, so the
+    model the point estimate fitted on *trace* scores every replicate
+    and the interval omits model-fitting variability.  Replicates on which
     the estimator fails (e.g. a resample with no overlap) are skipped; if
     fewer than half survive, an :class:`EstimatorError` is raised.
     """

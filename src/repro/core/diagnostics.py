@@ -15,10 +15,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.contracts import reconcile_shortfall
 from repro.core.estimators.base import checked_importance_ratio, weight_diagnostics
 from repro.core.policy import Policy
-from repro.core.propensity import PropensityModel, resolve_propensity_source
+from repro.core.propensity import (
+    PropensityModel,
+    PropensitySource,
+    resolve_propensity_source,
+)
 from repro.core.types import Decision, Trace
 from repro.errors import PropensityError
 
@@ -83,6 +86,25 @@ class OverlapReport:
         return "\n".join(lines)
 
 
+def overlap_columns(
+    new_policy: Policy, chunk: Trace, source: PropensitySource, cursor: int
+) -> Tuple[np.ndarray, np.ndarray, int, Counter]:
+    """One chunk's overlap columns, starting at absolute record *cursor*:
+    the logging and new-policy propensities of the logged decisions, the
+    count of greedy matches and the per-decision counts."""
+    columns = chunk.columns()
+    try:
+        old = source.propensity_batch(chunk)
+    except PropensityError:  # replay the scalar loop to name the absolute record
+        for index, record in enumerate(chunk):
+            source.propensity(record, cursor + index)
+        raise
+    new = new_policy.propensity_batch(columns.decisions, columns.contexts)
+    greedy = new_policy.greedy_decision_batch(columns.contexts)
+    matches = sum(decision == best for decision, best in zip(columns.decisions, greedy))
+    return old, new, matches, Counter(columns.decisions)
+
+
 def overlap_report(
     new_policy: Policy,
     trace: Trace,
@@ -93,28 +115,24 @@ def overlap_report(
 ) -> OverlapReport:
     """Compute an :class:`OverlapReport` for evaluating *new_policy* on *trace*.
 
-    One pass over chunk columns (a streaming trace is never materialised),
-    reduced once so every chunking agrees; a quarantining reader's accounted
-    shortfall is reported over the surviving records.
+    A chunked trace is never materialised: its columns come from one
+    streaming pass (:func:`repro.store.streaming.stream_overlap`, shared
+    with the estimators of an ``api.compare`` panel), gathered per record
+    and reduced once so every chunking agrees; a quarantining reader's
+    accounted shortfall is reported over the surviving records.
     """
-    source = resolve_propensity_source(trace, old_policy, propensity_model)
-    old, new = np.empty(len(trace)), np.empty(len(trace))
-    matches, coverage, n = 0, Counter(), 0
-    for chunk in trace.iter_chunks() if hasattr(trace, "iter_chunks") else (trace,):
-        columns, stop = chunk.columns(), n + len(chunk)
-        try:
-            old[n:stop] = source.propensity_batch(chunk)
-        except PropensityError:  # replay the scalar loop to name the absolute record
-            for index, record in enumerate(chunk):
-                source.propensity(record, n + index)
-            raise
-        new[n:stop] = new_policy.propensity_batch(columns.decisions, columns.contexts)
-        greedy = new_policy.greedy_decision_batch(columns.contexts)
-        matches += sum(decision == best for decision, best in zip(columns.decisions, greedy))
-        coverage.update(columns.decisions)
-        n = stop
-    reconcile_shortfall(trace, n)
-    stats = weight_diagnostics(checked_importance_ratio(new[:n], old[:n]))
+    if hasattr(trace, "iter_chunks"):
+        # Imported lazily — repro.store depends on repro.core.
+        from repro.store.streaming import stream_overlap
+
+        old, new, matches, coverage = stream_overlap(
+            new_policy, trace, old_policy, propensity_model
+        )
+    else:
+        source = resolve_propensity_source(trace, old_policy, propensity_model)
+        old, new, matches, coverage = overlap_columns(new_policy, trace, source, 0)
+    n = len(old)
+    stats = weight_diagnostics(checked_importance_ratio(new, old))
     warnings: List[str] = []
     if stats["ess"] < ess_warning_fraction * n:
         warnings.append(
@@ -139,7 +157,7 @@ def overlap_report(
     return OverlapReport(
         n=n,
         match_fraction=matches / n,
-        min_propensity=float(old[:n].min()),
+        min_propensity=float(old.min()),
         decision_coverage=dict(coverage),
         warnings=tuple(warnings),
         **stats,

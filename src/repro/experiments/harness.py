@@ -191,8 +191,11 @@ class ExperimentResult:
 _WORKER_CONTEXT: Optional[Tuple[RunFunction, Optional[RetryPolicy]]] = None
 
 
-def _run_block(indices: Sequence[int], seed_values: Sequence[int]) -> List[RunRecord]:
+def _run_block(indices: Sequence[int], seed_values: Sequence[int]) -> bytes:
     """Execute one contiguous block of seeds inside a pool worker.
+
+    The block's run records travel back pickled here, so the parent
+    counts the result-pipe bytes without pickling them a second time.
 
     Pool workers execute tasks on their process's main thread, so the
     retry policy's SIGALRM deadline stays enforceable here.  The garbage
@@ -206,10 +209,12 @@ def _run_block(indices: Sequence[int], seed_values: Sequence[int]) -> List[RunRe
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return [
-            execute_run(run, index, seed_value, retry=retry)
-            for index, seed_value in zip(indices, seed_values)
-        ]
+        return pickle.dumps(
+            [
+                execute_run(run, index, seed_value, retry=retry)
+                for index, seed_value in zip(indices, seed_values)
+            ]
+        )
     finally:
         if was_enabled:
             gc.enable()
@@ -271,14 +276,12 @@ def _run_parallel(
             try:
                 for future in as_completed(futures):
                     position = futures[future]
-                    block_records = future.result()
+                    payload = future.result()
                     if recording():
                         # Result-pipe payload size; the task payload is a
                         # fixed few bytes of (index, seed) ints per block.
-                        increment(
-                            "harness.pool.ipc.bytes",
-                            float(len(pickle.dumps(block_records))),
-                        )
+                        increment("harness.pool.ipc.bytes", float(len(payload)))
+                    block_records = pickle.loads(payload)
                     done_blocks[position] = block_records
                     for index, record in zip(blocks[position], block_records):
                         finished[index] = record

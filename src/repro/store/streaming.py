@@ -27,6 +27,14 @@ in the last ulp.  Gathering record-granularity sufficient statistics
 and reducing once keeps the equivalence exact for every chunking — the
 pinned guarantee of ``tests/store/test_stream_equivalence.py``.
 
+One pass per panel: a :class:`PanelPass` reads each chunk once for a
+panel of estimators plus the overlap diagnostics' columns.  Sharing
+keeps bit-identity because the shared work is the same work, done
+once: members sharing a reward model fit it once (the first setup
+fits, the rest find it fitted), and within a chunk every member asks
+the new policy and the propensity source the same batch questions
+about the same column objects, answered on the first ask.
+
 Memory: the gathered columns cost a few float64 arrays of length n
 (~80 MB per column at 10M records) — the savings over the dense path
 come from never holding the 10M Python record/context objects, which
@@ -45,13 +53,17 @@ import mmap
 import multiprocessing
 import os
 import pickle
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from contextvars import ContextVar
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.contracts import check_trace_columns, reconcile_shortfall
-from repro.core.estimators.base import EstimateResult
+from repro.core.diagnostics import overlap_columns
+from repro.core.estimators.base import EstimateResult, OffPolicyEstimator
 from repro.core.policy import Policy
 from repro.core.propensity import (
     PropensityModel,
@@ -68,12 +80,23 @@ from repro.runtime.pool import _block_partition, _effective_workers, _fork_avail
 STREAM_WORKERS_VAR = "REPRO_STREAM_WORKERS"
 
 
+def _allocate(size: int, dtype, shared: bool) -> np.ndarray:
+    """An uninitialised array; with *shared*, an anonymous shared mapping
+    that a pool forked afterwards writes into in place."""
+    dtype = np.dtype(dtype)
+    if not shared:
+        return np.empty(size, dtype=dtype)
+    # An anonymous mapping cannot be empty; count= keeps the view exact.
+    mapping = mmap.mmap(-1, max(1, size * dtype.itemsize))
+    return np.frombuffer(mapping, dtype=dtype, count=size)
+
+
 class ColumnGather:
     """Per-record estimator columns, placed at absolute record cursors.
 
     The one validation-and-placement implementation behind every
     streaming engine: the sequential loop and the fork workers of
-    :func:`stream_estimate` (buffers preallocated to ``len(trace)``) and
+    :class:`PanelPass` (buffers preallocated to ``len(trace)``) and
     :class:`repro.live.incremental.IncrementalEstimator` (buffers that
     start at its ``INITIAL_CAPACITY`` and double).  :meth:`add` runs the
     vectorised trace contracts with absolute offsets, scores the chunk
@@ -96,18 +119,11 @@ class ColumnGather:
         #: One past the highest record written so far.
         self.length = 0
 
-    def _allocate(self, size: int, dtype: np.dtype) -> np.ndarray:
-        if not self._shared:
-            return np.empty(size, dtype=dtype)
-        # An anonymous mapping cannot be empty; count= keeps the view exact.
-        mapping = mmap.mmap(-1, max(1, size * dtype.itemsize))
-        return np.frombuffer(mapping, dtype=dtype, count=size)
-
     def _reserve(self, end: int, arrays: Dict[str, np.ndarray]) -> None:
         if not self.buffers:
             self._capacity = max(self._capacity, end)
             self.buffers = {
-                key: self._allocate(self._capacity, array.dtype)
+                key: _allocate(self._capacity, array.dtype, self._shared)
                 for key, array in arrays.items()
             }
             return
@@ -117,7 +133,7 @@ class ColumnGather:
         while capacity < end:
             capacity *= 2
         for key, buffer in self.buffers.items():
-            grown = self._allocate(capacity, buffer.dtype)
+            grown = _allocate(capacity, buffer.dtype, self._shared)
             grown[: self.length] = buffer[: self.length]
             self.buffers[key] = grown
         self._capacity = capacity
@@ -199,93 +215,332 @@ def _resolve_workers(workers: Optional[int]) -> int:
     return value
 
 
-# Worker context for the parallel streaming pool, inherited over fork
-# exactly like the harness's (the estimator carries a fitted model the
-# task queue could not cheaply pickle, and the gather carries the shared
-# buffers): (gather, policy, source, store, plan, cursors).
+def _shared(answers: Dict, function, *arguments):
+    """``function(*arguments)``, computed on the first ask with these
+    argument objects and handed to every later ask read-only."""
+    key = (function.__name__,) + tuple(id(argument) for argument in arguments)
+    if key not in answers:
+        value = function(*arguments)
+        if isinstance(value, np.ndarray):
+            value = value.view()
+            value.flags.writeable = False
+        # The arguments stay referenced so their ids cannot be reused.
+        answers[key] = (arguments, value)
+    return answers[key][1]
+
+
+class _ChunkPolicy(Policy):
+    """The new policy, answering each batch call about one chunk once."""
+
+    def __init__(self, policy: Policy):
+        super().__init__(policy.space)
+        self._policy = policy
+        self._answers: Dict = {}
+
+    def probabilities(self, context):
+        return self._policy.probabilities(context)
+
+    def propensity(self, decision, context):
+        return self._policy.propensity(decision, context)
+
+    def propensity_batch(self, decisions, contexts):
+        call = self._policy.propensity_batch
+        return _shared(self._answers, call, decisions, contexts)
+
+    def probability_matrix(self, contexts):
+        return _shared(self._answers, self._policy.probability_matrix, contexts)
+
+    def greedy_decision_batch(self, contexts):
+        if type(self._policy).greedy_decision_batch is not Policy.greedy_decision_batch:
+            return self._policy.greedy_decision_batch(contexts)
+        # The inherited scan over the shared matrix is the policy's own.
+        return super().greedy_decision_batch(contexts)
+
+
+class _ChunkSource(PropensitySource):
+    """A propensity source answering each chunk's batch once."""
+
+    def __init__(self, source: PropensitySource):
+        self._source = source
+        self._answers: Dict = {}
+
+    def propensity(self, record, index):
+        return self._source.propensity(record, index)
+
+    def propensity_batch(self, trace):
+        return _shared(self._answers, self._source.propensity_batch, trace)
+
+
+#: The pass the innermost ``with PanelPass(...)`` opened, if any.
+_ACTIVE: ContextVar[Optional["PanelPass"]] = ContextVar("panel_pass", default=None)
+
+#: Tally key of the overlap columns (members are keyed by index).
+_OVERLAP = "overlap"
+
+
+@dataclass
+class _Tally:
+    """What scoring a run of chunks found: the sizes of the chunks
+    scored, each key's first failure, and the overlap counts."""
+
+    sizes: List[int] = field(default_factory=list)
+    failures: Dict[object, EstimatorError] = field(default_factory=dict)
+    matches: int = 0
+    coverage: Counter = field(default_factory=Counter)
+
+    def merge(self, later: "_Tally") -> None:
+        for key, failure in later.failures.items():
+            self.failures.setdefault(key, failure)
+        self.matches += later.matches
+        self.coverage.update(later.coverage)
+        for size in later.sizes:
+            observe("store.chunk.records", float(size))
+            increment("ope.stream.chunks")
+
+
+# Worker context for the parallel pool, inherited over fork (estimators
+# carry fitted models the task queue could not cheaply pickle, and the
+# gathers carry the shared buffers): (pass, store, plan, cursors).
 _STREAM_CONTEXT: Optional[Tuple] = None
 
 
-def _stream_block(positions: List[int]) -> List[int]:
-    """Gather one contiguous block of planned chunks in a pool worker.
+def _stream_block(positions: List[int]) -> bytes:
+    """Score one contiguous block of planned chunks in a pool worker.
 
-    The columns land in the fork-inherited shared buffers; only the
-    chunk sizes travel back, for the parent's in-order telemetry replay.
+    Columns land in the fork-inherited shared buffers; the block's
+    tally travels back pickled here, so the parent counts its bytes
+    without pickling it again.
     """
     from repro.store.sharded import ShardChunk
 
-    gather, policy, source, store, plan, cursors = _STREAM_CONTEXT
-    return [
-        gather.add(
-            policy, ShardChunk(store, *plan[position]), source, cursors[position]
-        )
-        for position in positions
-    ]
+    panel, store, plan, cursors = _STREAM_CONTEXT
+    tally = _Tally()
+    for position in positions:
+        panel._score(ShardChunk(store, *plan[position]), cursors[position], tally)
+    return pickle.dumps(tally)
 
 
-def _parallel_stream(
-    estimator,
-    new_policy: Policy,
-    trace,
-    source: Optional[PropensitySource],
-    workers: int,
-) -> EstimateResult:
-    """Fan the planned chunk spans over a fork pool, gather, finalize.
+class PanelPass:
+    """One read, one fit and one fork pool for a panel of estimators.
 
-    Bit-identity holds by the same argument as the sequential engine:
-    chunk spans, absolute cursors, and therefore every gathered float64
-    entry are identical — only *which process* computes each span
-    changes.  Chunk telemetry (``store.chunk.records``,
-    ``ope.stream.chunks``) is re-emitted by the parent in chunk order,
-    so recorded telemetry is also identical to a sequential pass.
+    Inside ``with PanelPass(...):`` the pass answers every
+    :func:`stream_estimate` call for one of its *estimators* and, with
+    ``overlap=True``, every :func:`stream_overlap` call, on the same
+    trace, policy and propensity arguments.  The first call streams the
+    trace once for all of them; members finalize on request.
+
+    Failures stay per member, as if each had streamed alone: an
+    :class:`~repro.errors.EstimatorError` from the propensity source,
+    the worker count, a member's setup, contracts, ``_stream_chunk`` or
+    ``_stream_finalize`` is raised to that member's call only (and an
+    overlap failure to the overlap call); the others keep streaming.
+    Any other exception aborts the pass.
     """
-    global _STREAM_CONTEXT
-    from repro.store.sharded import ShardChunk
 
-    n = len(trace)
-    plan = trace.plan_chunks()
-    cursors: List[int] = []
-    total = 0
-    for _, lo, hi in plan:
-        cursors.append(total)
-        total += hi - lo
-    if total != n:  # pragma: no cover - manifest/len invariant
-        raise StoreError(
-            f"planned chunk spans cover {total} records of a trace "
-            f"reporting len() == {n}; the shard directory is corrupt"
+    def __init__(
+        self,
+        new_policy: Policy,
+        trace,
+        estimators: Iterable = (),
+        *,
+        old_policy: Optional[Policy] = None,
+        propensity_model: Optional[PropensityModel] = None,
+        propensity_floor: Optional[float] = None,
+        overlap: bool = False,
+        workers: Optional[int] = None,
+    ):
+        self.key = (new_policy, trace, old_policy, propensity_model)
+        self.policy, self.trace = new_policy, trace
+        # Other estimators (a history adapter, say) stream on their own.
+        self.members = [e for e in estimators if isinstance(e, OffPolicyEstimator)]
+        # The overlap columns take no floor: a floored pass leaves them out.
+        self.floor, self.workers = propensity_floor, workers
+        self.overlap = overlap and propensity_floor is None
+        self._keys = [*range(len(self.members)), *([_OVERLAP] if self.overlap else [])]
+        self._tally: Optional[_Tally] = None
+        self._results: Dict[int, EstimateResult] = {}
+
+    def __enter__(self) -> "PanelPass":
+        self._token = _ACTIVE.set(self)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        _ACTIVE.reset(self._token)
+
+    @staticmethod
+    def active(
+        new_policy, trace, old_policy, propensity_model
+    ) -> Optional["PanelPass"]:
+        """The entered pass over exactly these arguments, if any."""
+        panel = _ACTIVE.get()
+        key = (new_policy, trace, old_policy, propensity_model)
+        if panel is not None and all(a is b for a, b in zip(panel.key, key)):
+            return panel
+        return None
+
+    def estimate(self, estimator) -> EstimateResult:
+        """*estimator*'s result, bit-identical to streaming it alone."""
+        index = next(i for i, member in enumerate(self.members) if member is estimator)
+        failures = self._run().failures
+        if index not in failures and index not in self._results:
+            try:
+                result = self._gathers[index].finalize(self._length)
+            except EstimatorError as failure:
+                failures[index] = failure
+            else:
+                if self._quarantined:
+                    report = self.trace.quarantine_report()
+                    result.diagnostics["store_quarantine"] = report.to_json()
+                self._results[index] = result
+        if index in failures:
+            raise failures[index]
+        return self._results[index]
+
+    def overlap_columns(self) -> Tuple[np.ndarray, np.ndarray, int, Counter]:
+        """The overlap report's gathered ``(old, new, matches, coverage)``."""
+        tally = self._run()
+        if _OVERLAP in tally.failures:
+            raise tally.failures[_OVERLAP]
+        n = self._length
+        return self._old[:n], self._new[:n], tally.matches, tally.coverage
+
+    def _live(self, step: Optional[_Tally] = None) -> List:
+        """The keys no failure has stopped yet."""
+        stopped = {*self._tally.failures, *(step.failures if step else ())}
+        return [key for key in self._keys if key not in stopped]
+
+    def _score(self, chunk, cursor: int, step: _Tally) -> None:
+        """Score *chunk* for every live key, noting failures in *step*."""
+        policy = _ChunkPolicy(self.policy)
+        source = self._source and _ChunkSource(self._source)
+        for key in self._live(step):
+            try:
+                if key == _OVERLAP:
+                    columns = overlap_columns(policy, chunk, source, cursor)
+                else:
+                    member = self.members[key]
+                    given = source if member.requires_propensities else None
+                    self._gathers[key].add(policy, chunk, given, cursor)
+                    continue
+            except EstimatorError as failure:
+                step.failures[key] = failure
+                continue
+            old, new, matches, coverage = columns
+            self._old[cursor : cursor + len(chunk)] = old
+            self._new[cursor : cursor + len(chunk)] = new
+            step.matches += matches
+            step.coverage.update(coverage)
+        if self._live(step):
+            step.sizes.append(len(chunk))
+
+    def _run(self) -> _Tally:
+        if self._tally is None:
+            self._tally = _Tally()
+            try:
+                names = ",".join(member.name for member in self.members)
+                with span("ope.stream", estimator=names or _OVERLAP):
+                    self._stream(self._tally.failures)
+            except BaseException:
+                self._tally = None
+                raise
+        return self._tally
+
+    def _stream(self, failures: Dict) -> None:
+        trace, n = self.trace, len(self.trace)
+        self._source = None
+        wanting = [i for i, m in enumerate(self.members) if m.requires_propensities]
+        wanting += [_OVERLAP] if self.overlap else []
+        try:
+            if wanting:
+                self._source = resolve_propensity_source(
+                    trace, *self.key[2:], floor=self.floor
+                )
+        except EstimatorError as failure:
+            failures.update(dict.fromkeys(wanting, failure))
+        try:
+            workers = _resolve_workers(self.workers)
+        except EstimatorError as failure:
+            for index in range(len(self.members)):
+                failures.setdefault(index, failure)
+            workers = 1
+        parallel = (
+            workers > 1
+            and n > 0
+            and _fork_available()
+            and hasattr(trace, "plan_chunks")
+            and getattr(trace, "on_corruption", None) == "raise"
+            and len(trace.plan_chunks()) > 1
         )
-    estimator._stream_setup(new_policy, trace)
+        self._gathers = [ColumnGather(m, n, shared=parallel) for m in self.members]
+        if self.overlap:
+            self._old = _allocate(n, float, parallel)
+            self._new = _allocate(n, float, parallel)
+        for index in self._live():
+            try:
+                if index != _OVERLAP:
+                    self.members[index]._stream_setup(self.policy, trace)
+            except EstimatorError as failure:
+                failures[index] = failure
+        self._length, self._quarantined = 0, 0
+        if not self._live():
+            return
+        if parallel:
+            return self._stream_parallel(workers)
+        for chunk in trace.iter_chunks():
+            step = _Tally()
+            self._score(chunk, self._length, step)
+            self._tally.merge(step)
+            self._length += len(chunk)
+            if not self._live():
+                return
+        self._quarantined = reconcile_shortfall(trace, self._length)
 
-    # The first chunk runs in the parent: it fixes the column set and
-    # dtypes of the shared buffers, which must exist before the pool
-    # forks for workers to inherit the mappings.
-    gather = ColumnGather(estimator, n, shared=True)
-    first = gather.add(new_policy, ShardChunk(trace._store, *plan[0]), source, 0)
-    observe("store.chunk.records", float(first))
-    increment("ope.stream.chunks")
+    def _stream_parallel(self, workers: int) -> None:
+        """Fan the planned chunk spans over one fork pool.
 
-    pending = list(range(1, len(plan)))
-    effective = _effective_workers(workers, len(pending))
-    blocks = _block_partition(pending, effective)
-    _STREAM_CONTEXT = (gather, new_policy, source, trace._store, plan, cursors)
-    try:
-        with ProcessPoolExecutor(
-            max_workers=effective,
-            mp_context=multiprocessing.get_context("fork"),
-        ) as pool:
-            # Results arrive in block order (= chunk order), so per-chunk
-            # telemetry replays the sequential emission sequence exactly.
-            for sizes in pool.map(_stream_block, blocks):
-                if recording():
-                    increment(
-                        "harness.pool.ipc.bytes", float(len(pickle.dumps(sizes)))
-                    )
-                for size in sizes:
-                    observe("store.chunk.records", float(size))
-                    increment("ope.stream.chunks")
-    finally:
-        _STREAM_CONTEXT = None
-    return gather.finalize(n)
+        Bit-identity holds by the same argument as the sequential loop:
+        chunk spans, absolute cursors, and therefore every gathered
+        float64 entry are identical — only *which process* computes each
+        span changes.  The parent scores the first chunk itself, which
+        fixes each gather's column set and allocates its shared buffers
+        before the fork; block tallies then merge in chunk order, so
+        first failures and the replayed chunk telemetry
+        (``store.chunk.records``, ``ope.stream.chunks``) match the
+        sequential loop.
+        """
+        global _STREAM_CONTEXT
+        from repro.store.sharded import ShardChunk
+
+        plan, cursors = self.trace.plan_chunks(), []
+        for _, lo, hi in plan:
+            cursors.append(self._length)
+            self._length += hi - lo
+        if self._length != len(self.trace):  # pragma: no cover - manifest/len invariant
+            raise StoreError(
+                f"planned chunk spans cover {self._length} records of a trace "
+                f"reporting len() == {len(self.trace)}; the shard directory is corrupt"
+            )
+        store, first = self.trace._store, _Tally()
+        self._score(ShardChunk(store, *plan[0]), 0, first)
+        self._tally.merge(first)
+        if not self._live():
+            return
+        pending = list(range(1, len(plan)))
+        effective = _effective_workers(workers, len(pending))
+        _STREAM_CONTEXT = (self, store, plan, cursors)
+        try:
+            with ProcessPoolExecutor(
+                max_workers=effective,
+                mp_context=multiprocessing.get_context("fork"),
+            ) as pool:
+                # Results arrive in block order (= chunk order).
+                blocks = _block_partition(pending, effective)
+                for payload in pool.map(_stream_block, blocks):
+                    if recording():
+                        increment("harness.pool.ipc.bytes", float(len(payload)))
+                    self._tally.merge(pickle.loads(payload))
+        finally:
+            _STREAM_CONTEXT = None
 
 
 def stream_estimate(
@@ -302,30 +557,24 @@ def stream_estimate(
     Normally reached via ``estimator.estimate(policy, sharded_trace)``
     — the base class dispatches here for any trace with ``iter_chunks``.
     The result is bit-identical to materialising the trace and running
-    the dense path (see the module docstring for why).
+    the dense path (see the module docstring for why).  An entered
+    :class:`PanelPass` with *estimator* among its members answers from
+    its shared read; otherwise *estimator* streams as a one-member pass.
 
     Degraded reads: a trace opened with ``on_corruption="quarantine"``
-    may legitimately stream fewer records than ``len(trace)`` — its
-    ``iter_chunks`` skips shards it classified as corrupt.  The engine
-    reconciles the shortfall against the trace's own quarantine
-    accounting (``quarantined_records()``): an *accounted* shortfall
-    finalizes on the surviving records and surfaces the loss in
-    ``result.diagnostics["store_quarantine"]``; an *unaccounted* one is
-    still a hard :class:`~repro.errors.StoreError`.  A silently shorter
-    stream can therefore never change an estimate undetected.
+    may stream fewer records than ``len(trace)``, skipping shards it
+    classified as corrupt.  A shortfall its ``quarantined_records()``
+    accounts for finalizes on the surviving records and surfaces the
+    loss in ``result.diagnostics["store_quarantine"]``; an unaccounted
+    one is a hard :class:`~repro.errors.StoreError`.
 
     Parallelism: with ``workers > 1`` (or ``REPRO_STREAM_WORKERS`` set,
-    for calls routed through ``estimate()``), chunk spans are planned
-    from the manifest and fanned over a fork-based worker pool — see
-    :func:`_parallel_stream`.  The parent allocates the
-    :class:`ColumnGather` buffers as anonymous shared mappings before
-    forking; workers inherit them and write their disjoint spans in
-    place, so only chunk sizes cross the result pipe and the result is
-    bit-identical to the sequential engine.  The parallel path requires
-    the ``fork`` start method, a trace exposing ``plan_chunks``, and
-    ``on_corruption == "raise"`` (a quarantining reader may stream fewer
-    spans than planned); anything else silently degrades to the
-    sequential engine below.
+    for calls routed through ``estimate()``), the manifest's planned
+    chunk spans fan over a fork pool writing into shared buffers (see
+    :meth:`PanelPass._stream_parallel`).  It needs the ``fork`` start
+    method, a trace exposing ``plan_chunks`` and
+    ``on_corruption == "raise"``; anything else silently streams
+    sequentially.
 
     Raises
     ------
@@ -338,35 +587,37 @@ def stream_estimate(
         accounts for — a corrupt or racing shard directory; or when
         every shard was quarantined and no records survive.
     """
-    n = len(trace)
-    source: Optional[PropensitySource] = None
-    if estimator.requires_propensities:
-        source = resolve_propensity_source(
-            trace, old_policy, propensity_model, floor=propensity_floor
+    panel = PanelPass.active(new_policy, trace, old_policy, propensity_model)
+    members = panel.members if panel is not None else ()
+    if not any(m is estimator for m in members) or panel.floor != propensity_floor:
+        panel = PanelPass(
+            new_policy,
+            trace,
+            [estimator],
+            old_policy=old_policy,
+            propensity_model=propensity_model,
+            propensity_floor=propensity_floor,
+            workers=workers,
         )
-    resolved_workers = _resolve_workers(workers)
-    if (
-        resolved_workers > 1
-        and n > 0
-        and _fork_available()
-        and hasattr(trace, "plan_chunks")
-        and getattr(trace, "on_corruption", None) == "raise"
-        and len(trace.plan_chunks()) > 1
-    ):
-        with span("ope.stream", estimator=estimator.name):
-            return _parallel_stream(
-                estimator, new_policy, trace, source, resolved_workers
-            )
-    with span("ope.stream", estimator=estimator.name):
-        estimator._stream_setup(new_policy, trace)
-        gather = ColumnGather(estimator, n)
-        for chunk in trace.iter_chunks():
-            size = gather.add(new_policy, chunk, source)
-            observe("store.chunk.records", float(size))
-            increment("ope.stream.chunks")
-        skipped = reconcile_shortfall(trace, gather.length)
-        result = gather.finalize(gather.length)
-        if skipped:
-            report = trace.quarantine_report()
-            result.diagnostics["store_quarantine"] = report.to_json()
-        return result
+    return panel.estimate(estimator)
+
+
+def stream_overlap(
+    new_policy: Policy,
+    trace,
+    old_policy: Optional[Policy] = None,
+    propensity_model: Optional[PropensityModel] = None,
+) -> Tuple[np.ndarray, np.ndarray, int, Counter]:
+    """The overlap report's columns over a chunked *trace*: from the
+    entered :class:`PanelPass` when it covers this call, else from a
+    member-less pass of their own."""
+    panel = PanelPass.active(new_policy, trace, old_policy, propensity_model)
+    if panel is None or not panel.overlap:
+        panel = PanelPass(
+            new_policy,
+            trace,
+            old_policy=old_policy,
+            propensity_model=propensity_model,
+            overlap=True,
+        )
+    return panel.overlap_columns()
