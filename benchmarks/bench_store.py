@@ -87,14 +87,22 @@ def _estimators():
     }
 
 
-def _time(call, repeats: int) -> float:
-    """Best-of-*repeats* wall time of *call* (best-of suppresses noise)."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        call()
-        best = min(best, time.perf_counter() - started)
-    return best
+def _time_pair(dense_call, stream_call, repeats: int) -> tuple:
+    """Best-of-*repeats* wall times of both calls, sampled alternately.
+
+    Each repeat times one dense and one stream call back to back, and
+    the order flips every repeat, so host drift lands on both sides
+    instead of reading as a streaming slowdown.  Best-of suppresses the
+    remaining noise.
+    """
+    calls = (dense_call, stream_call)
+    best = [float("inf"), float("inf")]
+    for repeat in range(repeats):
+        for side in (0, 1) if repeat % 2 == 0 else (1, 0):
+            started = time.perf_counter()
+            calls[side]()
+            best[side] = min(best[side], time.perf_counter() - started)
+    return best[0], best[1]
 
 
 def run(records: int, shard_size: int, repeats: int, output: pathlib.Path) -> int:
@@ -137,11 +145,10 @@ def run(records: int, shard_size: int, repeats: int, output: pathlib.Path) -> in
             ):
                 failures.append(f"{name}: streaming result is not bit-identical")
                 continue
-            dense_seconds = _time(
-                lambda: estimator.estimate(new_policy, dense), repeats
-            )
-            stream_seconds = _time(
-                lambda: estimator.estimate(new_policy, sharded), repeats
+            dense_seconds, stream_seconds = _time_pair(
+                lambda: estimator.estimate(new_policy, dense),
+                lambda: estimator.estimate(new_policy, sharded),
+                repeats,
             )
             ratio = stream_seconds / dense_seconds
             payload["estimators"][name] = {

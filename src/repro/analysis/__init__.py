@@ -15,7 +15,7 @@ Per-file rules (:mod:`repro.analysis.rules`):
 REP001    No unseeded ``np.random.default_rng()``, global ``np.random``
           draws, or stdlib ``random`` — every stochastic component takes
           an explicit ``np.random.Generator`` or seed, so every figure
-          the harness regenerates is reproducible.  Autofixable.
+          the harness regenerates is reproducible.
 REP002    No bare ``assert`` in library code — asserts vanish under
           ``python -O``, turning contract violations into silent
           inf/nan estimates; raise :mod:`repro.errors` exceptions.
@@ -38,7 +38,7 @@ REP007    No per-record ``policy.propensity(...)`` / ``model.predict(...)``
           evaluate the whole trace in one vectorised pass.
 REP008    noqa hygiene (warning severity) — suppression comments must
           name registered rules; unknown ``REP`` codes are reported
-          rather than silently suppressing everything.  Autofixable.
+          rather than silently suppressing everything.
 REP009    No mutable default arguments — a shared default leaks state
           across estimator runs and forked workers.
 ========  ==============================================================
@@ -61,17 +61,11 @@ REP013    Contract coverage — per-record propensity consumption must sit
 ========  ==============================================================
 
 Run it via ``repro lint [--rules ...] [--format text|json|sarif]
-[--cache [PATH]] [--fix [--dry-run]] [--baseline FILE] PATH`` or
+[--cache [PATH]] [--jobs N] PATH`` or
 programmatically through :func:`lint_paths`.  CI lints ``src/repro``
 itself: the linter must pass on the codebase it ships in.
 """
 
-from repro.analysis.baseline import (
-    load_baseline,
-    matches_baseline,
-    render_baseline,
-    write_baseline,
-)
 from repro.analysis.cache import DEFAULT_CACHE_PATH, LintCache
 from repro.analysis.dataflow import (
     BatchStreamParity,
@@ -79,7 +73,6 @@ from repro.analysis.dataflow import (
     ForkSafety,
     RngTaint,
 )
-from repro.analysis.fixers import Fix, apply_fixes, plan_fixes, render_diff
 from repro.analysis.graph import (
     ModuleIndex,
     ProjectIndex,
@@ -118,7 +111,6 @@ from repro.analysis.rules import (
 
 __all__ = [
     "DEFAULT_CACHE_PATH",
-    "Fix",
     "LintCache",
     "LintReport",
     "LintRule",
@@ -127,24 +119,17 @@ __all__ = [
     "ProjectIndex",
     "ProjectRule",
     "Violation",
-    "apply_fixes",
     "build_module_index",
     "build_rules",
     "collect_python_files",
     "exit_code_for",
     "lint_paths",
-    "load_baseline",
-    "matches_baseline",
-    "plan_fixes",
     "register_rule",
     "registered_rule_ids",
     "render",
-    "render_baseline",
-    "render_diff",
     "render_json",
     "render_sarif",
     "render_text",
-    "write_baseline",
     "NoUnseededRandomness",
     "NoBareAssert",
     "EstimatorInterfaceComplete",

@@ -31,7 +31,7 @@ from repro.analysis.graph import INDEX_VERSION, ModuleIndex
 
 #: Bump on any behavioural change to per-module rules or the engine so
 #: stale caches from older versions never mask new findings.
-ENGINE_VERSION = "2.0"
+ENGINE_VERSION = "2.1"
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_PATH = ".repro-lint-cache.json"

@@ -18,7 +18,7 @@ framework; one lint invocation now runs in four stages:
    REP010–REP013 dataflow tier).  Project rules always re-run: they are
    whole-program properties, and they are cheap because they consume
    the index summaries, never raw ASTs.
-4. **Report** — noqa/baseline filtering, then exit-code mapping and
+4. **Report** — noqa filtering, then exit-code mapping and
    rendering through :mod:`repro.analysis.reporting`.
 
 Suppression: ``# noqa: REP001`` on the offending line suppresses that
@@ -36,9 +36,9 @@ from __future__ import annotations
 import ast
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from repro.analysis.cache import (
     CacheEntry,
@@ -99,7 +99,8 @@ class Violation:
 
     ``severity`` is ``"error"`` (fails the lint) or ``"warning"``
     (reported, surfaced in SARIF, but does not affect the exit code);
-    ``detail`` carries machine-readable context for autofixers.
+    ``detail`` carries machine-readable context (the unknown noqa codes,
+    a dataflow finding's witness location).
     """
 
     path: str
@@ -167,17 +168,13 @@ class LintRule:
 
     Subclasses set :attr:`rule_id`/:attr:`description` and implement
     :meth:`check_module`.  Whole-program rules subclass
-    :class:`ProjectRule` instead.  Rules whose findings are mechanical
-    rewrites set :attr:`autofixable` and register a fixer in
-    :mod:`repro.analysis.fixers`.
+    :class:`ProjectRule` instead.
     """
 
     #: Stable identifier, e.g. ``"REP001"``.
     rule_id: str = ""
     #: One-line human-readable rationale.
     description: str = ""
-    #: Whether :mod:`repro.analysis.fixers` can rewrite the finding.
-    autofixable: bool = False
     #: ``"error"`` or ``"warning"`` — warnings do not fail the lint.
     severity: str = "error"
 
@@ -282,7 +279,6 @@ class LintReport:
 
     ``violations`` are error-severity findings (exit code 1);
     ``warnings`` are warning-severity findings (reported, exit 0);
-    ``baselined`` counts findings suppressed by the committed baseline;
     ``analyzed_files``/``cached_files`` expose the incremental split.
     """
 
@@ -290,7 +286,6 @@ class LintReport:
     checked_files: int
     rule_ids: Tuple[str, ...]
     warnings: Tuple[Violation, ...] = ()
-    baselined: int = 0
     analyzed_files: int = 0
     cached_files: int = 0
 
@@ -306,7 +301,6 @@ class LintReport:
             "checked_files": self.checked_files,
             "analyzed_files": self.analyzed_files,
             "cached_files": self.cached_files,
-            "baselined": self.baselined,
             "rules": list(self.rule_ids),
             "violations": [violation.to_json() for violation in self.violations],
             "warnings": [violation.to_json() for violation in self.warnings],
@@ -390,7 +384,6 @@ def lint_paths(
     *,
     cache_path=None,
     jobs: Optional[int] = None,
-    baseline=None,
 ) -> LintReport:
     """Lint *paths* with the selected rules and return a report.
 
@@ -407,10 +400,6 @@ def lint_paths(
         Process-pool width for per-file analysis.  ``None`` picks
         automatically (serial below 64 pending files); ``1`` forces
         serial analysis.
-    baseline:
-        Parsed baseline entries (see :mod:`repro.analysis.baseline`);
-        matching findings are suppressed and counted instead of failing
-        the run — the gradual-adoption path for new rules.
     """
     rules = build_rules(rule_ids)
     module_rule_ids = tuple(
@@ -501,18 +490,6 @@ def lint_paths(
                 continue
             collected.append(violation)
 
-    baselined = 0
-    if baseline:
-        from repro.analysis.baseline import matches_baseline
-
-        kept = []
-        for violation in collected:
-            if matches_baseline(violation, baseline):
-                baselined += 1
-            else:
-                kept.append(violation)
-        collected = kept
-
     unique = sorted(set(collected))
     errors = tuple(v for v in unique if v.severity != "warning")
     warnings = tuple(v for v in unique if v.severity == "warning")
@@ -526,7 +503,6 @@ def lint_paths(
         checked_files=len(files),
         rule_ids=all_rule_ids,
         warnings=warnings,
-        baselined=baselined,
         analyzed_files=len(pending),
         cached_files=len(files) - len(pending),
     )

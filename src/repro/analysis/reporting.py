@@ -3,7 +3,7 @@
 Three formats:
 
 * **text** — one ``path:line: RULE message`` line per finding plus a
-  summary footer (the historical format, now with warning/baseline/cache
+  summary footer (the historical format, now with warning/cache
   counters when relevant).
 * **json** — the report's stable JSON document, for tooling.
 * **sarif** — SARIF 2.1.0, the interchange format GitHub code scanning
@@ -12,7 +12,7 @@ Three formats:
 
 Exit-code policy (:func:`exit_code_for`): ``0`` for a clean run (warnings
 alone never fail), ``1`` when error-severity violations remain after
-noqa/baseline filtering, ``2`` for usage errors (unknown rule ids,
+noqa filtering, ``2`` for usage errors (unknown rule ids,
 unreadable paths — raised as :class:`~repro.errors.AnalysisError` and
 mapped by the CLI).
 """
@@ -66,8 +66,6 @@ def _extras_line(report: LintReport) -> Optional[str]:
     parts: List[str] = []
     if report.warnings:
         parts.append(f"{len(report.warnings)} warning(s)")
-    if report.baselined:
-        parts.append(f"{report.baselined} baselined")
     if report.cached_files:
         parts.append(
             f"cache: {report.cached_files} hit(s), "

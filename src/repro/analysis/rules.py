@@ -59,8 +59,7 @@ class NoUnseededRandomness(LintRule):
     ``np.random.default_rng()`` calls, (b) draws from the legacy global
     state (``np.random.normal(...)``, ``np.random.seed(...)``, the
     ``RandomState`` singleton...), and (c) imports of the stdlib
-    ``random`` module.  The unseeded ``default_rng()`` form is
-    mechanical to repair, so ``repro lint --fix`` injects a seed stub.
+    ``random`` module.
     """
 
     rule_id = "REP001"
@@ -68,7 +67,6 @@ class NoUnseededRandomness(LintRule):
         "stochastic code must take an explicit np.random.Generator or seed; "
         "no unseeded default_rng(), global np.random draws, or stdlib random"
     )
-    autofixable = True
 
     def check_module(self, unit: ModuleUnit) -> Iterable[Violation]:
         violations: List[Violation] = []
@@ -111,7 +109,6 @@ class NoUnseededRandomness(LintRule):
                             "np.random.default_rng() without a seed is "
                             "non-deterministic; pass an explicit seed or "
                             "SeedSequence",
-                            detail="unseeded-default-rng",
                         )
                     )
             elif member not in RNG_CONSTRUCTORS:
@@ -624,9 +621,7 @@ class NoqaHygiene(LintRule):
     mode the linter exists to catch.  The engine now parses code lists
     strictly; this rule surfaces ``REP``-prefixed codes that do not name
     a registered rule as warnings (foreign codes such as ``F401`` are
-    left to the tools that own them).  ``repro lint --fix`` rewrites the
-    comment, dropping unknown codes and normalising the spelling to
-    ``# noqa: REP001,REP004``.
+    left to the tools that own them).
     """
 
     rule_id = "REP008"
@@ -635,7 +630,6 @@ class NoqaHygiene(LintRule):
         "reported instead of silently suppressing everything"
     )
     severity = "warning"
-    autofixable = True
 
     def check_module(self, unit: ModuleUnit) -> Iterable[Violation]:
         known = set(registered_rule_ids())
@@ -657,8 +651,7 @@ class NoqaHygiene(LintRule):
                         message=(
                             f"noqa names unknown rule id(s) "
                             f"{', '.join(unknown)}; they suppress nothing — "
-                            "fix the id or drop it (repro lint --fix "
-                            "removes unknown codes)"
+                            "fix the id or drop it"
                         ),
                         severity=self.severity,
                         detail=",".join(unknown),

@@ -25,8 +25,7 @@ file to the on-disk sharded format of :mod:`repro.store`;
 ``repro all`` runs everything at paper scale and prints the
 tables EXPERIMENTS.md records;
 ``repro lint [--rules REP001,...] [--format text|json|sarif]
-[--cache [PATH]] [--jobs N] [--baseline FILE] [--write-baseline FILE]
-[--fix [--dry-run]] PATH...`` runs the :mod:`repro.analysis` linter
+[--cache [PATH]] [--jobs N] PATH...`` runs the :mod:`repro.analysis` linter
 (exit 0 clean, 1 violations, 2 usage).
 """
 
@@ -35,135 +34,19 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Dict, Optional
+from typing import Optional
 
-from repro import experiments as exp
 from repro.errors import AnalysisError, EstimatorError, LedgerError
+from repro.experiments import EXPERIMENTS
 from repro.runtime import RetryPolicy
 
 
-def _run_fig1(runs: int, seed: int) -> str:
-    regrets = []
-    selections = []
-    for index in range(runs):
-        outcome = exp.run_fig1_workflow(seed=seed + index)
-        regrets.append(outcome.regret)
-        selections.append(outcome.selected == outcome.truly_best)
-    correct = sum(selections)
-    mean_regret = sum(regrets) / len(regrets)
-    return (
-        "== fig1-workflow ==\n"
-        f"correct selections: {correct}/{runs}\n"
-        f"mean regret: {mean_regret:.4f}"
-    )
-
-
-def _run_fig2(runs: int, seed: int) -> str:
-    lines = ["== fig2-abr-bias =="]
-    for index in range(runs):
-        outcome = exp.run_fig2_abr_bias(seed=seed + index)
-        lines.append(
-            f"seed {seed + index}: replay={outcome.replay_estimate:.3f} "
-            f"truth={outcome.true_qoe:.3f} "
-            f"rel.err={outcome.replay_relative_error:.3f} "
-            f"(logged low-bitrate fraction {outcome.low_bitrate_fraction_logged:.0%})"
-        )
-    return "\n".join(lines)
-
-
-def _run_fig4(runs: int, seed: int) -> str:
-    outcome = exp.run_fig4_cbn_learning(runs=runs, seed=seed)
-    return (
-        "== fig4-cbn-learning ==\n"
-        f"backend edge missing in {outcome.backend_missing_fraction:.0%} of "
-        f"{outcome.runs} runs\n"
-        f"mean |misprediction| on (isp-1, fe-1, be-2): "
-        f"{outcome.misprediction_ms_mean:.1f} ms"
-    )
-
-
-def _run_fig5(runs: int, seed: int) -> str:
-    outcomes = exp.run_fig5_matching_coverage(runs=runs, seed=seed)
-    return "== fig5-matching-coverage ==\n" + exp.render_coverage_table(outcomes)
-
-
-def _sweep_runner(function: Callable, x_label: str, name: str) -> Callable[[int, int], str]:
-    def run(runs: int, seed: int) -> str:
-        points = function(runs=runs, seed=seed)
-        return f"== {name} ==\n" + exp.render_sweep(points, x_label)
-
-    return run
-
-
-def _run_second_order(runs: int, seed: int) -> str:
-    grid = exp.run_second_order_ablation(runs=runs, seed=seed)
-    return "== ablation-second-order ==\n" + exp.render_second_order_grid(grid)
-
-
-EXPERIMENTS: Dict[str, Callable[[int, int], str]] = {
-    "fig1": _run_fig1,
-    "fig2": _run_fig2,
-    "fig3": lambda runs, seed: exp.run_fig3_relay_bias(runs=runs, seed=seed).render(),
-    "fig4": _run_fig4,
-    "fig5": _run_fig5,
-    "fig7a": lambda runs, seed: exp.run_fig7a(runs=runs, seed=seed).render(),
-    "fig7b": lambda runs, seed: exp.run_fig7b(runs=runs, seed=seed).render(),
-    "fig7c": lambda runs, seed: exp.run_fig7c(runs=runs, seed=seed).render(),
-    "abl-rand": _sweep_runner(
-        exp.run_randomness_ablation, "epsilon", "ablation-randomness"
-    ),
-    "abl-dim": _sweep_runner(
-        exp.run_dimensionality_ablation, "|D|", "ablation-dimensionality"
-    ),
-    "abl-n": _sweep_runner(
-        exp.run_trace_size_ablation, "trace size", "ablation-trace-size"
-    ),
-    "abl-model": _run_second_order,
-    "abl-family": lambda runs, seed: (
-        "== ablation-model-family ==\n"
-        + exp.render_model_family_table(
-            exp.run_model_family_ablation(runs=runs, seed=seed)
-        )
-    ),
-    "nonstat": lambda runs, seed: exp.run_nonstationary_replay(
-        runs=runs, seed=seed
-    ).render(),
-    "state": lambda runs, seed: exp.run_state_mismatch(runs=runs, seed=seed).render(),
-    "couple": lambda runs, seed: exp.run_reward_coupling(
-        runs=runs, seed=seed
-    ).render(),
-}
-
-# Harness-backed experiments that accept retry/ledger/resume options.
-# Each maps to a driver returning an ExperimentResult.
-RESILIENT_EXPERIMENTS: Dict[str, Callable] = {
-    "fig3": exp.run_fig3_relay_bias,
-    "fig7a": exp.run_fig7a,
-    "fig7b": exp.run_fig7b,
-    "fig7c": exp.run_fig7c,
-    "nonstat": exp.run_nonstationary_replay,
-    "state": exp.run_state_mismatch,
-    "couple": exp.run_reward_coupling,
-}
-
-DEFAULT_RUNS: Dict[str, int] = {
-    "fig1": 10,
-    "fig2": 5,
-    "fig4": 20,
-    "fig5": 20,
-    "fig7a": 50,
-    "fig7b": 50,
-    "fig7c": 50,
-    "fig3": 50,
-    "abl-rand": 30,
-    "abl-dim": 30,
-    "abl-n": 30,
-    "abl-model": 20,
-    "abl-family": 15,
-    "nonstat": 20,
-    "state": 20,
-    "couple": 10,
-}
+def _positive_int(text: str) -> int:
+    """argparse type for ``--runs``: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -179,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     subparsers.add_parser("list", help="list experiment ids")
     run_parser = subparsers.add_parser("run", help="run one experiment")
     run_parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    run_parser.add_argument("--runs", type=int, default=None)
+    run_parser.add_argument("--runs", type=_positive_int, default=None)
     run_parser.add_argument("--seed", type=int, default=0)
     run_parser.add_argument(
         "--ledger",
@@ -187,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         help=(
             "journal each completed seed to this JSONL run ledger "
-            "(harness experiments: " + ", ".join(sorted(RESILIENT_EXPERIMENTS)) + ")"
+            "(harness experiments: " + ", ".join(_harness_names()) + ")"
         ),
     )
     run_parser.add_argument(
@@ -238,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
         help="run one experiment under the process recorder and print its trace",
     )
     trace_parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    trace_parser.add_argument("--runs", type=int, default=None)
+    trace_parser.add_argument("--runs", type=_positive_int, default=None)
     trace_parser.add_argument("--seed", type=int, default=0)
     all_parser = subparsers.add_parser("all", help="run every experiment")
     all_parser.add_argument("--seed", type=int, default=0)
@@ -356,8 +239,7 @@ def main(argv: list[str] | None = None) -> int:
         "repair",
         help=(
             "rebuild a damaged sharded trace: promote a crashed writer's "
-            "journal, excise or re-derive corrupt shards, upgrade v1 "
-            "manifests to checksummed v2"
+            "journal, excise or re-derive corrupt shards"
         ),
     )
     repair_parser.add_argument(
@@ -409,34 +291,6 @@ def main(argv: list[str] | None = None) -> int:
             "process-pool width for per-file analysis (default: automatic; "
             "1 forces serial)"
         ),
-    )
-    lint_parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=(
-            "suppress findings recorded in this baseline file (gradual "
-            "adoption); suppressed findings are counted, not shown"
-        ),
-    )
-    lint_parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="write the current findings as a baseline file and exit 0",
-    )
-    lint_parser.add_argument(
-        "--fix",
-        action="store_true",
-        help=(
-            "apply autofixers for the mechanical rules (REP001 seed stubs, "
-            "REP008 noqa normalisation), then re-lint"
-        ),
-    )
-    lint_parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="with --fix: print the unified diff instead of editing files",
     )
 
     serve_parser = subparsers.add_parser(
@@ -595,17 +449,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run_lint(arguments) -> int:
     """Run the linter; exit 0 clean, 1 on violations, 2 on bad usage."""
-    from repro.analysis import (
-        DEFAULT_CACHE_PATH,
-        apply_fixes,
-        exit_code_for,
-        lint_paths,
-        plan_fixes,
-        render,
-        render_diff,
-        write_baseline,
-    )
-    from repro.analysis.baseline import load_baseline
+    from repro.analysis import DEFAULT_CACHE_PATH, exit_code_for, lint_paths, render
 
     rule_ids = None
     if arguments.rules is not None:
@@ -613,49 +457,13 @@ def _run_lint(arguments) -> int:
         if not rule_ids:
             print("repro lint: error: --rules given but no rule ids parsed", file=sys.stderr)
             return 2
-    if arguments.dry_run and not arguments.fix:
-        print("repro lint: error: --dry-run requires --fix", file=sys.stderr)
-        return 2
     cache_path = arguments.cache
     if cache_path == "__default__":
         cache_path = DEFAULT_CACHE_PATH
-
-    def run(baseline):
-        return lint_paths(
-            arguments.paths,
-            rule_ids,
-            cache_path=cache_path,
-            jobs=arguments.jobs,
-            baseline=baseline,
-        )
-
     try:
-        baseline = (
-            load_baseline(arguments.baseline) if arguments.baseline else None
+        report = lint_paths(
+            arguments.paths, rule_ids, cache_path=cache_path, jobs=arguments.jobs
         )
-        report = run(baseline)
-        if arguments.write_baseline:
-            count = write_baseline(
-                arguments.write_baseline, (*report.violations, *report.warnings)
-            )
-            print(
-                f"repro lint: wrote {count} finding(s) to "
-                f"{arguments.write_baseline}"
-            )
-            return 0
-        if arguments.fix:
-            fixes = plan_fixes((*report.violations, *report.warnings))
-            if arguments.dry_run:
-                sys.stdout.write(render_diff(fixes))
-                print(f"repro lint: {len(fixes)} fix(es) planned (dry run)")
-                return exit_code_for(report)
-            applied = apply_fixes(fixes)
-            edited = sum(applied.values())
-            print(
-                f"repro lint: applied {edited} fix(es) in "
-                f"{sum(1 for n in applied.values() if n)} file(s)"
-            )
-            report = run(baseline)  # re-lint to report what remains
         print(render(report, arguments.output_format))
     except AnalysisError as exc:
         print(f"repro lint: error: {exc}", file=sys.stderr)
@@ -666,12 +474,13 @@ def _run_lint(arguments) -> int:
 def _run_resilient(arguments, runs: int) -> int:
     """Run a harness experiment with ledger/retry options; exit 0 or 2."""
     name = arguments.experiment
-    if name not in RESILIENT_EXPERIMENTS:
+    driver = EXPERIMENTS[name].harness
+    if driver is None:
         print(
             f"repro run: error: --ledger/--resume/--retries/--timeout/"
             f"--workers/--telemetry/--profile are only supported for "
             f"harness experiments "
-            f"({', '.join(sorted(RESILIENT_EXPERIMENTS))}), not {name!r}",
+            f"({', '.join(_harness_names())}), not {name!r}",
             file=sys.stderr,
         )
         return 2
@@ -685,7 +494,7 @@ def _run_resilient(arguments, runs: int) -> int:
                 max_attempts=arguments.retries if arguments.retries is not None else 1,
                 timeout_seconds=arguments.timeout,
             )
-        result = RESILIENT_EXPERIMENTS[name](
+        result = driver(
             runs=runs,
             seed=arguments.seed,
             retry=retry,
@@ -705,6 +514,11 @@ def _run_resilient(arguments, runs: int) -> int:
     return 0
 
 
+def _harness_names() -> list[str]:
+    """Ids of the harness experiments, which take the runtime options."""
+    return sorted(name for name, entry in EXPERIMENTS.items() if entry.harness)
+
+
 def _print_profile(profile) -> None:
     """Print an ExperimentResult's merged flat profile and timing metrics."""
     from repro.obs import render_flat_profile, render_telemetry
@@ -722,10 +536,10 @@ def _run_trace(arguments) -> int:
     """Run one experiment under the process recorder; print its trace."""
     from repro import obs
 
-    runs = arguments.runs or DEFAULT_RUNS[arguments.experiment]
+    experiment = EXPERIMENTS[arguments.experiment]
     recorder = obs.enable()
     try:
-        print(EXPERIMENTS[arguments.experiment](runs, arguments.seed))
+        print(experiment.run(arguments.runs or experiment.default_runs, arguments.seed))
     finally:
         obs.disable()
     print("\n== span tree ==")
@@ -748,7 +562,8 @@ def _dispatch(arguments) -> int:
             print(name)
         return 0
     if arguments.command == "run":
-        runs = arguments.runs or DEFAULT_RUNS[arguments.experiment]
+        experiment = EXPERIMENTS[arguments.experiment]
+        runs = arguments.runs or experiment.default_runs  # --runs is >= 1
         runtime_requested = (
             arguments.ledger is not None
             or arguments.resume
@@ -764,15 +579,15 @@ def _dispatch(arguments) -> int:
             if exit_code != 0:
                 return exit_code
         else:
-            print(EXPERIMENTS[arguments.experiment](runs, arguments.seed))
+            print(experiment.run(runs, arguments.seed))
         print(f"({time.time() - started:.1f}s)")
         return 0
     if arguments.command == "trace":
         return _run_trace(arguments)
     if arguments.command == "all":
-        for name in EXPERIMENTS:
+        for experiment in EXPERIMENTS.values():
             started = time.time()
-            print(EXPERIMENTS[name](DEFAULT_RUNS[name], arguments.seed))
+            print(experiment.run(experiment.default_runs, arguments.seed))
             print(f"({time.time() - started:.1f}s)\n")
         return 0
     if arguments.command == "bench":

@@ -219,7 +219,6 @@ class TraceColumns:
         "decision_vocabulary",
         "_feature_names",
         "_feature_columns",
-        "_context_matrices",
         "_consumer_caches",
     )
 
@@ -246,7 +245,6 @@ class TraceColumns:
         # so feature_names() skips the per-record scan.
         self._feature_names: Optional[Tuple[str, ...]] = feature_names
         self._feature_columns: Dict[str, Tuple[FeatureValue, ...]] = {}
-        self._context_matrices: Dict[Tuple[str, ...], np.ndarray] = {}
         self._consumer_caches: Dict[Hashable, Any] = {}
 
     @classmethod
@@ -338,24 +336,6 @@ class TraceColumns:
             column = tuple(context[name] for context in self.contexts)
             self._feature_columns[name] = column
         return column
-
-    def context_matrix(self, names: Optional[Sequence[str]] = None) -> np.ndarray:
-        """Numeric context features as an ``(n, len(names))`` float matrix.
-
-        Non-numeric features raise (same contract as
-        :meth:`ClientContext.numeric_vector`); encode categoricals first.
-        Cached per feature-name selection.
-        """
-        selected = tuple(names) if names is not None else self.feature_names()
-        matrix = self._context_matrices.get(selected)
-        if matrix is None:
-            matrix = np.empty((len(self.contexts), len(selected)), dtype=float)
-            for position, name in enumerate(selected):
-                matrix[:, position] = [
-                    float(value) for value in self.feature_column(name)
-                ]
-            self._context_matrices[selected] = matrix
-        return matrix
 
     def consumer_cache(self, token: Hashable, build: Callable[[], Any]) -> Any:
         """Per-columns memo keyed by an opaque consumer *token*.

@@ -4,7 +4,7 @@ Each driver returns a structured result with a ``render()`` (or a
 dedicated renderer) producing the paper-style text rows.  The benchmark
 suite under ``benchmarks/`` wraps these with pytest-benchmark and asserts
 the qualitative shapes; the CLI (``repro run <id>``) runs them at full
-scale.
+scale from the :data:`EXPERIMENTS` table.
 """
 
 from repro.experiments.ablations import (
@@ -39,8 +39,11 @@ from repro.experiments.figures import (
 )
 from repro.experiments.fig7 import run_fig7a, run_fig7b, run_fig7c
 from repro.experiments.harness import ExperimentResult, run_repeated
+from repro.experiments.registry import EXPERIMENTS, Experiment
 
 __all__ = [
+    "EXPERIMENTS",
+    "Experiment",
     "ExperimentResult",
     "run_repeated",
     "run_fig7a",

@@ -7,9 +7,9 @@ the Trace-compatible :class:`ShardedTrace` (:mod:`repro.store.sharded`),
 and is evaluated chunk-by-chunk with results bit-identical to the dense
 in-memory path (:mod:`repro.store.streaming`).
 
-The tier is fault-tolerant end to end: shards carry sha256 checksums in
-the manifest (format v2) and are verified on first decode or eagerly via
-:func:`verify_store` (``repro verify``); reads degrade per policy
+The tier is fault-tolerant end to end: every shard's size and sha256
+checksum sit in the manifest and are verified on first decode or
+eagerly via :func:`verify_store` (``repro verify``); reads degrade per policy
 (retry transient faults, quarantine permanently-bad shards — see
 :class:`ShardedTrace`'s ``on_corruption``); writes are crash-consistent
 (atomic renames plus a write-ahead journal); and :func:`repair_store`
@@ -42,7 +42,6 @@ from repro.store.format import (
     FORMAT_VERSION,
     JOURNAL_NAME,
     MANIFEST_NAME,
-    SUPPORTED_VERSIONS,
     ShardWriter,
     encode_shard,
     iter_jsonl_records,
@@ -81,7 +80,6 @@ __all__ = [
     "QuarantinedShard",
     "RepairReport",
     "ResolvedTrace",
-    "SUPPORTED_VERSIONS",
     "ShardCheckResult",
     "ShardQuarantineReport",
     "ShardWriter",

@@ -25,9 +25,8 @@ The manifest records the format version, the feature schema and its
 hash, per-shard record counts and integrity fields (byte size and
 sha256 content checksum, format v2), and per-shard reward/propensity
 summaries.  **Invalidation rules** (enforced by the reader, documented
-in DESIGN.md §10–11): a manifest whose ``version`` the reader does not
-speak is refused (v1, pre-checksum, still loads — with a warning — for
-backward compatibility); a manifest whose ``schema_hash`` does not
+in DESIGN.md §10–11): a manifest whose ``version`` is not
+:data:`FORMAT_VERSION` is refused; a manifest whose ``schema_hash`` does not
 match the hash recomputed from its own schema is refused; a shard whose
 size, checksum, or array lengths disagree with the manifest is refused
 at decode time with a classified
@@ -50,7 +49,6 @@ import io
 import json
 import math
 import os
-import warnings
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -76,10 +74,6 @@ FORMAT_NAME = "repro-sharded-trace"
 #: ``sha256``) and the write-ahead journal.
 FORMAT_VERSION = 2
 
-#: Manifest versions this reader can load.  v1 (pre-checksum) manifests
-#: load with a warning; their shards are readable but unverifiable.
-SUPPORTED_VERSIONS = (1, 2)
-
 #: Manifest filename inside a shard directory.
 MANIFEST_NAME = "manifest.json"
 
@@ -98,18 +92,16 @@ DEFAULT_SHARD_SIZE = 100_000
 _RAW_KINDS = ("f8", "i8")
 
 
-def schema_hash(feature_names: Sequence[str], version: int = FORMAT_VERSION) -> str:
+def schema_hash(feature_names: Sequence[str]) -> str:
     """Deterministic hash of a trace's feature schema.
 
     Covers the format version and the sorted feature names — the two
     things that decide whether a reader can interpret the columns at
-    all.  Stored in the manifest and recomputed by the reader *at the
-    manifest's own version* (a v1 manifest is validated with
-    ``version=1``); a mismatch means the manifest was hand-edited or
-    corrupted.
+    all.  Stored in the manifest and recomputed by the reader; a
+    mismatch means the manifest was hand-edited or corrupted.
     """
     payload = json.dumps(
-        {"version": version, "features": sorted(feature_names)},
+        {"version": FORMAT_VERSION, "features": sorted(feature_names)},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -654,10 +646,8 @@ def load_manifest(
 
     Applies the invalidation rules: unknown format name, unsupported
     version, schema-hash mismatch, record-count inconsistencies, and
-    (format v2) missing integrity fields all raise
-    :class:`~repro.errors.StoreError`.  A v1 (pre-checksum) manifest
-    still loads, with a :class:`UserWarning` that its shards cannot be
-    byte-verified — ``repro repair`` upgrades such a directory in place.
+    missing per-shard integrity fields all raise
+    :class:`~repro.errors.StoreError`.
 
     ``check_files=False`` skips the shard-file existence scan — used by
     ``repro repair``, whose whole job is a directory where some shards
@@ -685,24 +675,16 @@ def load_manifest(
             f"{path}: format {manifest.get('format')!r} is not {FORMAT_NAME!r}"
         )
     version = manifest.get("version")
-    if version not in SUPPORTED_VERSIONS:
+    if version != FORMAT_VERSION:
         raise StoreError(
             f"{path}: format version {version!r} is not supported (reader "
-            f"speaks versions {SUPPORTED_VERSIONS}); regenerate the shards "
+            f"speaks version {FORMAT_VERSION}); regenerate the shards "
             "with this library version"
-        )
-    if version < FORMAT_VERSION:
-        warnings.warn(
-            f"{path}: pre-checksum (v{version}) manifest — shard integrity "
-            "cannot be byte-verified; run `repro repair` to upgrade it to "
-            f"v{FORMAT_VERSION} with sha256 checksums",
-            UserWarning,
-            stacklevel=2,
         )
     features = manifest.get("schema", {}).get("features")
     if not isinstance(features, list):
         raise StoreError(f"{path}: manifest schema carries no feature list")
-    if manifest.get("schema_hash") != schema_hash(features, version=version):
+    if manifest.get("schema_hash") != schema_hash(features):
         raise StoreError(
             f"{path}: schema_hash does not match the manifest's own schema; "
             "the manifest was edited or corrupted"
@@ -718,16 +700,15 @@ def load_manifest(
             f"{path}: total_records={manifest.get('total_records')} but the "
             f"shards sum to {sum(counts)}"
         )
-    if version >= 2:
-        for shard in shards:
-            if not isinstance(shard.get("sha256"), str) or not isinstance(
-                shard.get("bytes"), int
-            ):
-                raise StoreError(
-                    f"{path}: v{version} manifest entry for {shard.get('file')!r} "
-                    "lacks its sha256/bytes integrity fields; the manifest "
-                    "was edited or corrupted"
-                )
+    for shard in shards:
+        if not isinstance(shard.get("sha256"), str) or not isinstance(
+            shard.get("bytes"), int
+        ):
+            raise StoreError(
+                f"{path}: manifest entry for {shard.get('file')!r} lacks its "
+                "sha256/bytes integrity fields; the manifest was edited or "
+                "corrupted"
+            )
     if check_files:
         for shard in shards:
             if not (directory / shard["file"]).exists():

@@ -16,8 +16,7 @@ Three layers:
   shard's raw bytes against its manifest entry: wrong size ⇒
   :class:`~repro.errors.ShardTruncatedError` (torn write), right size
   but wrong sha256 ⇒ :class:`~repro.errors.ShardChecksumError` (silent
-  bit corruption).  Pre-checksum (v1) manifests carry neither field and
-  skip these checks — decode-level classification still applies.
+  bit corruption).
 * **Retried reads** — :func:`read_shard_with_retry` drives transient
   ``OSError`` faults through a :class:`~repro.runtime.retry.RetryPolicy`
   with the same deterministic backoff schedule the experiment harness
@@ -138,30 +137,28 @@ def check_shard_bytes(
 ) -> None:
     """Classify *data* against the manifest *entry*'s integrity fields.
 
-    v2 manifests record ``bytes`` (file size) and ``sha256`` per shard;
+    Every manifest entry records ``bytes`` (file size) and ``sha256``;
     a size mismatch is a torn write (:class:`ShardTruncatedError` —
     named for the common case, though padding is caught too), an equal
     size with a different hash is silent bit corruption
-    (:class:`ShardChecksumError`).  v1 entries carry neither field and
-    pass through unchecked — the caller's decode-level checks remain.
+    (:class:`ShardChecksumError`).
     """
-    expected_bytes = entry.get("bytes")
-    if isinstance(expected_bytes, int) and len(data) != expected_bytes:
+    expected_bytes = entry["bytes"]
+    if len(data) != expected_bytes:
         raise ShardTruncatedError(
             f"{path}: shard is {len(data)} bytes but the manifest recorded "
             f"{expected_bytes}; the file was truncated or padded",
             shard=str(path),
         )
-    expected_hash = entry.get("sha256")
-    if isinstance(expected_hash, str):
-        actual = shard_checksum(data)
-        if actual != expected_hash:
-            raise ShardChecksumError(
-                f"{path}: shard sha256 {actual[:12]}… does not match the "
-                f"manifest's {expected_hash[:12]}…; the shard's bytes were "
-                "corrupted after it was written",
-                shard=str(path),
-            )
+    expected_hash = entry["sha256"]
+    actual = shard_checksum(data)
+    if actual != expected_hash:
+        raise ShardChecksumError(
+            f"{path}: shard sha256 {actual[:12]}… does not match the "
+            f"manifest's {expected_hash[:12]}…; the shard's bytes were "
+            "corrupted after it was written",
+            shard=str(path),
+        )
 
 
 def classify_decode_failure(
@@ -169,8 +166,8 @@ def classify_decode_failure(
 ) -> ShardCorruptionError:
     """Wrap a raw npz decode failure as a classified corruption error.
 
-    Reached only when the byte-level checks passed (or were unavailable,
-    v1) yet ``numpy`` could not parse the payload — still never a raw
+    Reached only when the byte-level checks passed yet ``numpy`` could
+    not parse the payload — still never a raw
     ``zipfile``/``numpy`` exception at the call site.
     """
     return ShardDecodeError(
@@ -216,7 +213,6 @@ class StoreVerifyReport:
     version: Optional[int]
     shards: Tuple[ShardCheckResult, ...]
     manifest_error: Optional[str] = None
-    checksummed: bool = True
 
     @property
     def ok(self) -> bool:
@@ -236,9 +232,7 @@ class StoreVerifyReport:
             return "\n".join(lines)
         lines.append(
             f"  manifest: ok (format v{self.version}, "
-            f"{len(self.shards)} shard(s)"
-            + ("" if self.checksummed else ", pre-checksum — no sha256 fields")
-            + ")"
+            f"{len(self.shards)} shard(s))"
         )
         for shard in self.shards:
             if shard.ok:
@@ -267,8 +261,7 @@ def verify_store(
     """Eagerly verify every shard of a sharded-trace directory.
 
     Checks, per shard: the file exists, its size and sha256 match the
-    manifest (v2; v1 manifests lack both fields and are byte-checked
-    only by existence), and — with ``decode=True`` — that the npz
+    manifest, and — with ``decode=True`` — that the npz
     payload decodes with array lengths matching the manifest's record
     count.  Nothing raises for corruption; every finding lands in the
     returned :class:`StoreVerifyReport` so one bad shard never hides
@@ -289,10 +282,8 @@ def verify_store(
             manifest_error=str(exc),
         )
     results = []
-    checksummed = True
     for index, entry in enumerate(manifest["shards"]):
         path = directory / entry["file"]
-        checksummed = checksummed and isinstance(entry.get("sha256"), str)
         kind: Optional[str] = None
         detail = ""
         try:
@@ -315,7 +306,6 @@ def verify_store(
         directory=str(directory),
         version=int(manifest["version"]),
         shards=tuple(results),
-        checksummed=checksummed,
     )
 
 

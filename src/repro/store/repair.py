@@ -1,6 +1,6 @@
 """``repro repair`` — rebuild a damaged sharded-trace directory.
 
-Three recovery modes, applied automatically by :func:`repair_store`:
+Two recovery modes, applied automatically by :func:`repair_store`:
 
 * **Journal promotion** — the writer crashed before its manifest landed
   (no ``manifest.json``, a write-ahead ``journal.jsonl`` present).  The
@@ -15,9 +15,6 @@ Three recovery modes, applied automatically by :func:`repair_store`:
   deterministic, so the rebuilt shard matches the original checksum) or
   **dropped**, with the manifest rewritten around the survivors and the
   record loss reported.
-* **v1 upgrade** — a pre-checksum (v1) manifest is rewritten as v2:
-  every shard is read once, its size and sha256 computed and recorded,
-  so future reads are byte-verifiable.
 
 All manifest writes go through the same atomic tmp+fsync+``os.replace``
 recipe as the writer; a crash mid-repair leaves the directory no worse
@@ -56,25 +53,19 @@ class RepairReport:
     """
 
     directory: str
-    mode: str  # "journal", "repair", or "upgrade"
+    mode: str  # "journal" or "repair"
     kept: List[str] = field(default_factory=list)
     rederived: List[str] = field(default_factory=list)
     dropped: List[Tuple[str, str]] = field(default_factory=list)
     orphaned: List[str] = field(default_factory=list)
     removed_temp: int = 0
-    upgraded: bool = False
     total_records: int = 0
     dropped_records: int = 0
 
     @property
     def changed(self) -> bool:
         """Whether the manifest was (re)written."""
-        return bool(
-            self.mode == "journal"
-            or self.rederived
-            or self.dropped
-            or self.upgraded
-        )
+        return bool(self.mode == "journal" or self.rederived or self.dropped)
 
     def render(self) -> str:
         """Human-readable multi-line summary (what ``repro repair`` prints)."""
@@ -87,8 +78,6 @@ class RepairReport:
             lines.append(f"  {name}: DROPPED ({reason})")
         for name in self.orphaned:
             lines.append(f"  {name}: orphaned (on disk, never journaled)")
-        if self.upgraded:
-            lines.append("  manifest: upgraded v1 -> v2 (sha256 recorded)")
         if self.removed_temp:
             lines.append(f"  swept {self.removed_temp} stray .tmp file(s)")
         lines.append(
@@ -161,7 +150,7 @@ def repair_store(
                 "version": FORMAT_VERSION,
                 "checksum_algorithm": "sha256",
                 "schema": {"features": features},
-                "schema_hash": schema_hash(features, version=FORMAT_VERSION),
+                "schema_hash": schema_hash(features),
                 "total_records": report.total_records,
                 "requested_shard_size": report._shard_size,
                 "shards": report._entries,
@@ -192,24 +181,14 @@ def _verify_entry(
 def _repair_from_manifest(
     directory: Path, load_manifest, source, retry
 ) -> RepairReport:
-    """Excise/re-derive corrupt shards; upgrade v1 manifests to v2."""
-    import warnings
+    """Excise or re-derive the corrupt shards a manifest lists."""
+    from repro.store.format import encode_shard
 
-    from repro.store.format import FORMAT_VERSION, encode_shard
-
-    with warnings.catch_warnings():
-        # A v1 manifest is exactly what repair exists to upgrade; the
-        # "run repro repair" warning would be noise here.
-        warnings.simplefilter("ignore", UserWarning)
-        manifest = load_manifest(directory, check_files=False)
-    version = int(manifest["version"])
+    manifest = load_manifest(directory, check_files=False)
     features = list(manifest["schema"]["features"])
     shard_size = int(manifest.get("requested_shard_size", 0)) or None
     feature_names = tuple(sorted(features))
-    report = RepairReport(
-        directory=str(directory),
-        mode="upgrade" if version < FORMAT_VERSION else "repair",
-    )
+    report = RepairReport(directory=str(directory), mode="repair")
     entries: List[Dict[str, Any]] = []
     offset = 0
     source_reader = _SourceReader(source, feature_names) if source else None
@@ -217,16 +196,6 @@ def _repair_from_manifest(
         count = int(entry["records"])
         failure = _verify_entry(directory, index, entry, retry)
         if failure is None:
-            if version < FORMAT_VERSION:
-                # v1 entry: record the integrity fields it never had.
-                path = directory / entry["file"]
-                data = read_shard_with_retry(path, retry=retry, seed=index)
-                entry = dict(entry)
-                entry["bytes"] = len(data)
-                from repro.store.integrity import shard_checksum
-
-                entry["sha256"] = shard_checksum(data)
-                report.upgraded = True
             entries.append(entry)
             report.kept.append(str(entry["file"]))
         elif source_reader is not None:
@@ -236,8 +205,6 @@ def _repair_from_manifest(
             atomic_write_bytes(path, data)
             entries.append({"file": path.name, **fresh})
             report.rederived.append(str(entry["file"]))
-            if version < FORMAT_VERSION:
-                report.upgraded = True
         else:
             report.dropped.append((str(entry["file"]), str(failure)))
             report.dropped_records += count

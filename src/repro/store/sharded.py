@@ -101,7 +101,6 @@ class _ShardStore:
         cache_shards: int = 2,
         on_corruption: str = "raise",
         retry=None,
-        verify: bool = True,
     ):
         if cache_shards < 1:
             raise StoreError(f"cache_shards must be at least 1, got {cache_shards}")
@@ -129,7 +128,6 @@ class _ShardStore:
         self.total: int = self.manifest["total_records"]
         self.on_corruption = on_corruption
         self.retry = retry
-        self.verify = verify
         self.quarantined: Dict[int, QuarantinedShard] = {}
         self._failures: Dict[int, ShardCorruptionError] = {}
         self._cache_shards = cache_shards
@@ -210,8 +208,7 @@ class _ShardStore:
         path = self.directory / entry["file"]
         with span("store.load.shard", shard=index):
             raw = read_shard_with_retry(path, retry=self.retry, seed=index)
-            if self.verify:
-                check_shard_bytes(path, raw, entry)
+            check_shard_bytes(path, raw, entry)
             try:
                 with np.load(io.BytesIO(raw), allow_pickle=False) as data:
                     rewards = data["rewards"]
@@ -259,8 +256,9 @@ class _ShardStore:
                 for kind, array, vocab in raw_features
             ]
         except Exception as exc:
-            # Reachable only for unverifiable (v1) shards: a bad vocab
-            # blob or out-of-range code is corruption, not a crash.
+            # A shard whose bytes match its manifest can still carry a bad
+            # vocab blob or out-of-range code if something other than
+            # encode_shard wrote it: corruption, not a crash.
             raise classify_decode_failure(path, exc) from exc
         return _ShardColumns(
             TraceColumns(
@@ -440,10 +438,6 @@ class ShardedTrace:
         I/O faults — each shard read retries ``OSError`` with the
         policy's deterministic backoff (seeded by shard index) before
         the failure is classified as permanent.
-    verify:
-        Verify each shard's size and sha256 against the manifest on
-        first decode (v2 manifests; v1 lack the fields).  Leave on —
-        it exists only for micro-benchmarks isolating checksum cost.
 
     Slicing with step 1 returns another (lazy) :class:`ShardedTrace`
     view over the same store; any other step materialises via
@@ -458,7 +452,6 @@ class ShardedTrace:
         cache_shards: int = 2,
         on_corruption: str = "raise",
         retry=None,
-        verify: bool = True,
     ):
         if chunk_records <= 0:
             raise StoreError(
@@ -469,7 +462,6 @@ class ShardedTrace:
             cache_shards=cache_shards,
             on_corruption=on_corruption,
             retry=retry,
-            verify=verify,
         )
         self._start = 0
         self._stop = self._store.total

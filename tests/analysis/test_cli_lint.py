@@ -1,4 +1,4 @@
-"""CLI tests for `repro lint`: --rules, --format, --fix, --baseline, --cache."""
+"""CLI tests for `repro lint`: --rules, --format, --cache."""
 
 from __future__ import annotations
 
@@ -8,14 +8,6 @@ from pathlib import Path
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-UNSEEDED = (
-    '"""Doc."""\n'
-    "\n"
-    "import numpy as np\n"
-    "\n"
-    "rng = np.random.default_rng()\n"
-)
 
 
 class TestRulesFlag:
@@ -69,59 +61,6 @@ class TestFormatFlag:
         assert code == 0
         assert payload["cached_files"] == 1
         assert payload["analyzed_files"] == 0
-
-
-class TestFixFlag:
-    def test_dry_run_prints_diff_without_editing(self, tmp_path, capsys):
-        target = tmp_path / "mod.py"
-        target.write_text(UNSEEDED)
-        code = main(["lint", "--fix", "--dry-run", str(target)])
-        out = capsys.readouterr().out
-        assert code == 1  # violations still present
-        assert "-rng = np.random.default_rng()" in out
-        assert "1 fix(es) planned" in out
-        assert target.read_text() == UNSEEDED
-
-    def test_fix_applies_and_relints_clean(self, tmp_path, capsys):
-        target = tmp_path / "mod.py"
-        target.write_text(UNSEEDED)
-        code = main(["lint", "--fix", str(target)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "applied 1 fix(es)" in out
-        assert "ok:" in out
-        assert "default_rng(0)" in target.read_text()
-
-    def test_dry_run_without_fix_is_usage_error(self, capsys):
-        code = main(["lint", "--dry-run", str(FIXTURES / "clean.py")])
-        assert code == 2
-        assert "--dry-run requires --fix" in capsys.readouterr().err
-
-
-class TestBaselineFlag:
-    def test_write_then_apply_baseline(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        target = str(FIXTURES / "rep001_bad.py")
-        code = main(["lint", "--write-baseline", str(baseline), target])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "wrote 3 finding(s)" in out
-        code = main(["lint", "--baseline", str(baseline), target])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "3 baselined" in out
-
-    def test_unreadable_baseline_is_usage_error(self, tmp_path, capsys):
-        code = main(
-            [
-                "lint",
-                "--baseline",
-                str(tmp_path / "nope.json"),
-                str(FIXTURES / "clean.py"),
-            ]
-        )
-        assert code == 2
-        assert "baseline" in capsys.readouterr().err
 
 
 class TestCacheFlag:

@@ -66,10 +66,9 @@ class TestText:
         assert "ok: 3 file(s) clean" in text
         assert "1 warning(s)" in text
 
-    def test_baseline_and_cache_counters(self):
-        report = report_with(baselined=2, cached_files=5, analyzed_files=1)
+    def test_cache_counters(self):
+        report = report_with(cached_files=5, analyzed_files=1)
         text = render_text(report)
-        assert "2 baselined" in text
         assert "cache: 5 hit(s), 1 analyzed" in text
 
 
@@ -83,11 +82,8 @@ class TestJson:
 
     def test_counters_serialised(self):
         payload = json.loads(
-            render_json(
-                report_with(baselined=1, cached_files=2, analyzed_files=1)
-            )
+            render_json(report_with(cached_files=2, analyzed_files=1))
         )
-        assert payload["baselined"] == 1
         assert payload["cached_files"] == 2
         assert payload["analyzed_files"] == 1
 

@@ -196,9 +196,10 @@ class TestManifestInvalidation:
 
     def test_version_mismatch(self, tmp_path):
         directory = self._written(tmp_path)
-        self._rewrite(directory, lambda m: m.update(version=FORMAT_VERSION + 1))
-        with pytest.raises(StoreError, match="version"):
-            load_manifest(directory)
+        for version in (FORMAT_VERSION + 1, 1):
+            self._rewrite(directory, lambda m: m.update(version=version))
+            with pytest.raises(StoreError, match="format version .* is not supported"):
+                load_manifest(directory)
 
     def test_schema_hash_mismatch(self, tmp_path):
         directory = self._written(tmp_path)

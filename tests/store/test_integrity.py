@@ -19,7 +19,6 @@ from repro.store import (
     FORMAT_VERSION,
     ShardedTrace,
     load_manifest,
-    schema_hash,
     shard_filename,
     verify_store,
 )
@@ -193,49 +192,6 @@ class TestTransientFaultRetry:
         with SlowRead(delay=7.5, sleep=stalls.append):
             ShardedTrace(shard_dir)[0]
         assert stalls == [7.5]
-
-
-class TestV1BackwardCompatibility:
-    def _downgrade(self, shard_dir):
-        manifest_path = shard_dir / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["version"] = 1
-        manifest["schema_hash"] = schema_hash(
-            manifest["schema"]["features"], version=1
-        )
-        del manifest["checksum_algorithm"]
-        for entry in manifest["shards"]:
-            del entry["sha256"]
-            del entry["bytes"]
-        manifest_path.write_text(json.dumps(manifest))
-
-    def test_v1_manifest_loads_with_warning(self, shard_dir):
-        self._downgrade(shard_dir)
-        with pytest.warns(UserWarning, match="pre-checksum"):
-            manifest = load_manifest(shard_dir)
-        assert manifest["version"] == 1
-
-    def test_v1_store_reads_and_verifies_without_checksums(self, shard_dir):
-        self._downgrade(shard_dir)
-        with pytest.warns(UserWarning, match="pre-checksum"):
-            trace = ShardedTrace(shard_dir)
-        assert len(trace) == RECORDS
-        with pytest.warns(UserWarning):
-            report = verify_store(shard_dir)
-        assert report.ok
-        assert not report.checksummed
-        assert "pre-checksum" in report.render()
-
-    def test_v1_bit_flip_is_invisible_to_verify_but_decode_may_catch(
-        self, shard_dir
-    ):
-        # The motivating gap: v1 cannot byte-verify. A flip inside the
-        # compressed payload is caught only if the zip layer chokes.
-        self._downgrade(shard_dir)
-        flip_shard_bit(shard_dir, 0)
-        with pytest.warns(UserWarning):
-            report = verify_store(shard_dir, decode=False)
-        assert report.ok  # the documented v1 blind spot
 
 
 class TestQuarantineDegradation:

@@ -1,18 +1,13 @@
-"""`repro repair`: manifest excision, source re-derivation, v1 upgrade."""
+"""`repro repair`: manifest excision and source re-derivation."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.errors import StoreError
 from repro.store import (
-    FORMAT_VERSION,
     ShardedTrace,
-    load_manifest,
     repair_store,
-    schema_hash,
     shard_filename,
     verify_store,
 )
@@ -41,18 +36,6 @@ def source(tmp_path, trace):
     path = tmp_path / "trace.jsonl"
     trace.to_jsonl(path)
     return path
-
-
-def _downgrade_to_v1(shard_dir):
-    manifest_path = shard_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["version"] = 1
-    manifest["schema_hash"] = schema_hash(manifest["schema"]["features"], version=1)
-    del manifest["checksum_algorithm"]
-    for entry in manifest["shards"]:
-        del entry["sha256"]
-        del entry["bytes"]
-    manifest_path.write_text(json.dumps(manifest))
 
 
 class TestExcision:
@@ -115,28 +98,6 @@ class TestRederivation:
         flip_shard_bit(shard_dir, 2)
         with pytest.raises(StoreError, match="source"):
             repair_store(shard_dir, source=short)
-
-
-class TestV1Upgrade:
-    def test_upgrade_adds_checksums_and_bumps_version(self, shard_dir):
-        _downgrade_to_v1(shard_dir)
-        report = repair_store(shard_dir)
-        assert report.mode == "upgrade"
-        assert report.upgraded
-        assert report.kept == [shard_filename(i) for i in range(3)]
-        manifest = load_manifest(shard_dir)  # no v1 warning any more
-        assert manifest["version"] == FORMAT_VERSION
-        assert all("sha256" in entry for entry in manifest["shards"])
-        after = verify_store(shard_dir)
-        assert after.ok and after.checksummed
-
-    def test_upgrade_with_corruption_drops_the_bad_shard(self, shard_dir):
-        _downgrade_to_v1(shard_dir)
-        truncate_shard(shard_dir, 1)
-        report = repair_store(shard_dir)
-        assert report.upgraded
-        assert [name for name, _ in report.dropped] == [shard_filename(1)]
-        assert verify_store(shard_dir).ok
 
 
 class TestNothingToRepair:

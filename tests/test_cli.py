@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.cli import DEFAULT_RUNS, EXPERIMENTS, main
+from repro.cli import main
 
 
 class TestCli:
-    def test_every_experiment_has_default_runs(self):
-        assert set(EXPERIMENTS) == set(DEFAULT_RUNS)
-
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
         output = capsys.readouterr().out
@@ -20,6 +17,19 @@ class TestCli:
         output = capsys.readouterr().out
         assert "fig7c-variance" in output
         assert "dr" in output
+
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    @pytest.mark.parametrize("experiment", ["fig1", "fig7a"])
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    def test_non_positive_runs_is_a_usage_error(
+        self, command, experiment, runs, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, experiment, "--runs", runs])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"--runs: must be at least 1, got {int(runs)}" in captured.err
+        assert captured.out == ""
 
     def test_run_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
@@ -79,6 +89,23 @@ class TestVerifyRepairCommands:
         assert main(["repair", str(shard_dir), "--source", str(source)]) == 0
         assert "re-derived from source" in capsys.readouterr().out
         assert main(["verify", str(shard_dir)]) == 0
+
+    def test_v1_store_refused_without_traceback(self, shard_dir, capsys):
+        import json
+
+        manifest_path = shard_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = 1
+        for entry in manifest["shards"]:
+            del entry["sha256"], entry["bytes"]
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["verify", str(shard_dir)]) == 1
+        verify = capsys.readouterr()
+        assert "format version 1 is not supported" in verify.out
+        assert main(["repair", str(shard_dir)]) == 2
+        repair = capsys.readouterr()
+        assert "format version 1 is not supported" in repair.err
+        assert "Traceback" not in verify.out + verify.err + repair.out + repair.err
 
     def test_repair_nothing_to_do_exits_two(self, tmp_path, capsys):
         empty = tmp_path / "empty"
