@@ -13,12 +13,14 @@ to the historical per-record ``+=`` loop), and the ``predict_trace*``
 fast paths encode each :class:`~repro.core.types.TraceColumns` view's
 records into bucket codes once (memoised on the columns object) so the
 per-decision DM sweep and the DR residual pass become pure array gathers.
+Both the fit and the key encoding look each distinct context up once
+(grouped by ``TraceColumns.context_codes``) and gather per record.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,32 +64,35 @@ class _FitAccumulator:
         return grown
 
     def add_columns(self, columns: TraceColumns, keys: Tuple[str, ...]) -> None:
-        """Fold one columns view into the running sums, in record order."""
+        """Fold one columns view into the running sums, in record order;
+        buckets resolve once per distinct (context, decision) pair, in
+        first-seen order, so they number as a per-record pass would."""
         n = len(columns)
         if n == 0:
             return
-        if keys:
-            key_values: Iterable[Tuple[Hashable, ...]] = zip(
-                *(columns.feature_column(name) for name in keys)
-            )
-        else:
-            key_values = itertools.repeat((), n)
-        bucket_ids = np.empty(n, dtype=np.intp)
-        decision_ids = np.empty(n, dtype=np.intp)
+        pairs, firsts = kernels.first_seen_codes(
+            columns.context_codes, columns.decision_codes
+        )
+        pair_buckets = np.empty(firsts.size, dtype=np.intp)
+        pair_decisions = np.empty(firsts.size, dtype=np.intp)
         bucket_positions = self.bucket_positions
         decision_positions = self.decision_positions
-        for index, (values, decision) in enumerate(zip(key_values, columns.decisions)):
-            key = (values, decision)
+        contexts, decisions = columns.contexts, columns.decisions
+        for pair, first in enumerate(firsts.tolist()):
+            decision = decisions[first]
+            key = (contexts[first].values_for(keys), decision)
             bucket = bucket_positions.get(key)
             if bucket is None:
                 bucket = len(bucket_positions)
                 bucket_positions[key] = bucket
-            bucket_ids[index] = bucket
+            pair_buckets[pair] = bucket
             code = decision_positions.get(decision)
             if code is None:
                 code = len(decision_positions)
                 decision_positions[decision] = code
-            decision_ids[index] = code
+            pair_decisions[pair] = code
+        bucket_ids = pair_buckets[pairs]
+        decision_ids = pair_decisions[pairs]
         self.bucket_sums = self._grown(self.bucket_sums, len(bucket_positions))
         self.bucket_counts = self._grown(self.bucket_counts, len(bucket_positions))
         self.decision_sums = self._grown(self.decision_sums, len(decision_positions))
@@ -221,20 +226,15 @@ class TabularMeanModel(RewardModel):
         return columns.consumer_cache(token, lambda: self._encode_keys(columns))
 
     def _encode_keys(self, columns: TraceColumns) -> np.ndarray:
-        keys = self._keys
-        n = len(columns)
-        codes = np.empty(n, dtype=np.intp)
-        key_index = self._key_index
-        if keys:
-            key_values: Iterable[Tuple[Hashable, ...]] = zip(
-                *(columns.feature_column(name) for name in keys)
-            )
-        else:
-            key_values = itertools.repeat((), n)
-        get = key_index.get
-        for index, values in enumerate(key_values):
-            codes[index] = get(values, -1)
-        return codes
+        """Look each distinct context's key up once, then gather."""
+        codes, firsts = kernels.first_seen_codes(columns.context_codes)
+        contexts, keys, get = columns.contexts, self._keys, self._key_index.get
+        rows = np.fromiter(
+            (get(contexts[first].values_for(keys), -1) for first in firsts.tolist()),
+            dtype=np.intp,
+            count=firsts.size,
+        )
+        return rows[codes]
 
     def _logged_decision_codes(self, columns: TraceColumns) -> np.ndarray:
         """Per-record column index for the logged decisions (-1 = decision

@@ -116,7 +116,7 @@ class ClientContext:
         Missing features raise :class:`KeyError`; this is the lookup used
         to bucket clients for matching and tabular models.
         """
-        return tuple(self[name] for name in names)
+        return tuple(map(self._lookup.__getitem__, names))
 
     def restrict(self, names: Sequence[str]) -> "ClientContext":
         """A new context containing only the features in *names*."""
@@ -201,10 +201,10 @@ class TraceColumns:
 
     Holds one column per record field — rewards, logged propensities (nan
     when absent), timestamps (nan when absent), decisions (plus integer
-    codes into a first-seen vocabulary), and contexts — so estimators can
-    run as numpy expressions instead of per-record Python loops.  Built
-    lazily by :meth:`Trace.columns`, invalidated when the trace grows, and
-    shared (as numpy views) by trace slices.
+    codes into a first-seen vocabulary), and contexts (plus codes) — so
+    estimators can run as numpy expressions instead of per-record Python
+    loops.  Built lazily by :meth:`Trace.columns`, invalidated when the
+    trace grows, and shared (as numpy views) by trace slices.
 
     The arrays are caches: treat them as read-only.
     """
@@ -218,7 +218,7 @@ class TraceColumns:
         "decision_codes",
         "decision_vocabulary",
         "_feature_names",
-        "_feature_columns",
+        "_context_codes",
         "_consumer_caches",
     )
 
@@ -232,6 +232,7 @@ class TraceColumns:
         decision_codes: np.ndarray,
         decision_vocabulary: Tuple[Decision, ...],
         feature_names: Optional[Tuple[str, ...]] = None,
+        context_codes: Optional[np.ndarray] = None,
     ):
         self.rewards = rewards
         self.propensities = propensities
@@ -244,7 +245,7 @@ class TraceColumns:
         # manifest, a slice of already-validated columns) passes it here
         # so feature_names() skips the per-record scan.
         self._feature_names: Optional[Tuple[str, ...]] = feature_names
-        self._feature_columns: Dict[str, Tuple[FeatureValue, ...]] = {}
+        self._context_codes = context_codes
         self._consumer_caches: Dict[Hashable, Any] = {}
 
     @classmethod
@@ -299,6 +300,9 @@ class TraceColumns:
             self.decision_codes[index],
             self.decision_vocabulary,
             feature_names=self._feature_names,
+            context_codes=(
+                None if self._context_codes is None else self._context_codes[index]
+            ),
         )
 
     def taken(self, indices: np.ndarray) -> "TraceColumns":
@@ -312,6 +316,9 @@ class TraceColumns:
             self.decision_codes[indices],
             self.decision_vocabulary,
             feature_names=self._feature_names,
+            context_codes=(
+                None if self._context_codes is None else self._context_codes[indices]
+            ),
         )
 
     def feature_names(self) -> Tuple[str, ...]:
@@ -329,13 +336,24 @@ class TraceColumns:
             self._feature_names = names
         return self._feature_names
 
-    def feature_column(self, name: str) -> Tuple[FeatureValue, ...]:
-        """Values of feature *name* across the trace, cached per name."""
-        column = self._feature_columns.get(name)
-        if column is None:
-            column = tuple(context[name] for context in self.contexts)
-            self._feature_columns[name] = column
-        return column
+    @property
+    def context_codes(self) -> np.ndarray:
+        """``intp`` codes of the distinct context objects, in first-seen
+        order: equal codes share one object.  The shard decoder supplies
+        them; other columns group by identity on first use.  Slices and
+        resamples keep their parent's numbering (not dense, not from 0).
+        """
+        if self._context_codes is None:
+            positions: Dict[int, int] = {}
+            self._context_codes = np.fromiter(
+                (
+                    positions.setdefault(id(context), len(positions))
+                    for context in self.contexts
+                ),
+                dtype=np.intp,
+                count=len(self.contexts),
+            )
+        return self._context_codes
 
     def consumer_cache(self, token: Hashable, build: Callable[[], Any]) -> Any:
         """Per-columns memo keyed by an opaque consumer *token*.

@@ -54,6 +54,24 @@ def bucket_accumulate(
     np.add.at(counts, ids, 1.0)
 
 
+def first_seen_codes(*keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(codes, firsts)``: first-seen-order codes of the distinct rows of
+    aligned integer key columns, and each code's first position.  Keys
+    combine mixed-radix, re-densified by a 1-D :func:`numpy.unique` after
+    each column, so the combined key stays below ``n**2``.
+    """
+    codes = None
+    for key in keys:
+        if codes is not None:
+            _, key = np.unique(key, return_inverse=True)
+            key = codes * (int(key.max(initial=0)) + 1) + key
+        _, firsts, codes = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(firsts)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[codes], firsts[order]
+
+
 def importance_ratio(new: np.ndarray, old: np.ndarray) -> np.ndarray:
     """``mu_new / mu_old`` elementwise."""
     return new / old

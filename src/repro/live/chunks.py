@@ -184,6 +184,7 @@ class StreamBatch:
                 self.decision_codes,
                 self.decisions_vocabulary,
                 feature_names=self.feature_names,
+                context_codes=self.context_codes,
             )
         return self._columns
 

@@ -132,8 +132,10 @@ def _encode_object_column(values: List[Any]) -> Tuple[np.ndarray, str]:
     for index, value in enumerate(values):
         # Keyed by (type, value): Python hashes True == 1 == 1.0, which
         # would otherwise conflate vocabulary entries that must decode
-        # back to distinct objects.
+        # back to distinct objects.  Floats add their sign: -0.0 == 0.0.
         key = (value.__class__, value)
+        if value.__class__ is float:
+            key += (math.copysign(1.0, value),)
         code = positions.get(key)
         if code is None:
             code = len(vocabulary)
@@ -142,12 +144,6 @@ def _encode_object_column(values: List[Any]) -> Tuple[np.ndarray, str]:
         codes[index] = code
     encoded = json.dumps([_encode_value(entry) for entry in vocabulary])
     return codes, encoded
-
-
-def _decode_object_column(codes: np.ndarray, vocabulary_json: str) -> List[Any]:
-    """Inverse of :func:`_encode_object_column`."""
-    vocabulary = [_decode_value(entry) for entry in json.loads(vocabulary_json)]
-    return [vocabulary[int(code)] for code in codes]
 
 
 def _encode_feature_column(values: List[Any]) -> Tuple[str, np.ndarray, Optional[str]]:
@@ -167,15 +163,6 @@ def _encode_feature_column(values: List[Any]) -> Tuple[str, np.ndarray, Optional
         return "i8", np.asarray(values, dtype=np.int64), None
     codes, vocabulary = _encode_object_column(values)
     return "coded", codes, vocabulary
-
-
-def _decode_feature_column(
-    kind: str, array: np.ndarray, vocabulary_json: Optional[str]
-) -> List[Any]:
-    """Inverse of :func:`_encode_feature_column`."""
-    if kind in _RAW_KINDS:
-        return array.tolist()
-    return _decode_object_column(array, vocabulary_json)
 
 
 def _summary(values: np.ndarray) -> Dict[str, float]:
@@ -725,22 +712,6 @@ def trace_to_shards(
 ) -> Path:
     """Write an in-memory :class:`Trace` as a sharded trace directory."""
     return write_shards(iter(trace), directory, shard_size=shard_size)
-
-
-def _decoded_context_builder(feature_names: Sequence[str]):
-    """A fast per-record context factory for one shard's fixed schema.
-
-    The public :class:`ClientContext` constructor re-validates and
-    re-sorts the feature mapping per record; shard columns are already
-    schema-checked and stored in sorted order, so records decode through
-    the trusted constructor instead.
-    """
-    names = tuple(sorted(feature_names))
-
-    def build(values: Sequence[Any]) -> ClientContext:
-        return ClientContext._from_sorted_items(tuple(zip(names, values)))
-
-    return build
 
 
 def trusted_record(

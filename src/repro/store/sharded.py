@@ -12,7 +12,8 @@ Decoding a shard builds a ready :class:`~repro.core.types.TraceColumns`
 straight from the stored arrays — the same struct-of-arrays the dense
 path computes from its record list — with repeated contexts *interned*
 (one :class:`~repro.core.types.ClientContext` per distinct feature row
-per shard).  Chunks are then zero-copy column slices
+per shard, keyed column-wise with numpy) and numbered by
+``TraceColumns.context_codes``.  Chunks are then zero-copy column slices
 (:class:`ShardChunk`), so the streaming estimators pay for numpy views
 and arithmetic, not per-record object construction.
 
@@ -37,6 +38,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro import kernels
 from repro.core.types import ClientContext, Trace, TraceColumns, TraceRecord
 from repro.errors import (
     ShardCorruptionError,
@@ -46,9 +48,8 @@ from repro.errors import (
 )
 from repro.obs.spans import increment, span
 from repro.store.format import (
-    _decode_feature_column,
+    _RAW_KINDS,
     _decode_value,
-    _decoded_context_builder,
     load_manifest,
     trusted_record,
 )
@@ -67,6 +68,14 @@ DEFAULT_CHUNK_RECORDS = 65_536
 
 #: Degradation policies for corrupt shards (see :class:`ShardedTrace`).
 CORRUPTION_POLICIES = ("raise", "quarantine")
+
+
+def _gathered(values: Sequence[Any], codes: np.ndarray) -> List[Any]:
+    """``values[code]`` for every code; a code outside *values* (negative
+    ones included) is corrupt."""
+    if codes.size and not 0 <= codes.min() <= codes.max() < len(values):
+        raise ValueError(f"codes outside a {len(values)}-entry vocabulary")
+    return np.fromiter(values, dtype=object, count=len(values))[codes].tolist()
 
 
 class _ShardColumns:
@@ -243,7 +252,7 @@ class _ShardStore:
             vocabulary = tuple(
                 _decode_value(value) for value in json.loads(decision_vocab)
             )
-            decisions = tuple(vocabulary[int(code)] for code in decision_codes)
+            decisions = tuple(_gathered(vocabulary, decision_codes))
             state_vocabulary = [
                 _decode_value(value) for value in json.loads(state_vocab)
             ]
@@ -251,10 +260,7 @@ class _ShardStore:
                 None if code < 0 else state_vocabulary[code]
                 for code in state_codes.tolist()
             ]
-            features = [
-                _decode_feature_column(kind, array, vocab)
-                for kind, array, vocab in raw_features
-            ]
+            context_codes, contexts = self._interned_contexts(raw_features, count)
         except Exception as exc:
             # A shard whose bytes match its manifest can still carry a bad
             # vocab blob or out-of-range code if something other than
@@ -266,43 +272,51 @@ class _ShardStore:
                 propensities,
                 timestamps,
                 decisions,
-                self._interned_contexts(features, count),
+                contexts,
                 decision_codes.astype(np.intp, copy=False),
                 vocabulary,
                 feature_names=self.feature_names,
+                context_codes=context_codes,
             ),
             states,
         )
 
     def _interned_contexts(
-        self, features: List[List[Any]], count: int
-    ) -> Tuple[ClientContext, ...]:
-        """One context object per record, shared across equal feature rows.
+        self, features: List[Tuple[str, np.ndarray, Optional[str]]], count: int
+    ) -> Tuple[np.ndarray, Tuple[ClientContext, ...]]:
+        """Context codes, and one context per record shared across equal
+        feature rows.
 
         Contexts are value objects (frozen, hashed by their items), so
         records with equal feature rows can share one instance; on the
         low-cardinality categorical workloads this format targets, that
         collapses the dominant decode cost — per-record object
-        construction — to one build per distinct row per shard.  The
-        intern table dies with the decode, so arbitrary-cardinality
-        traces pay at most one transient dict per shard.
+        construction — to one build per distinct row per shard.  Rows
+        are keyed column-wise on the stored arrays: coded ids, ``i8``
+        values and ``f8`` bit patterns, so ``-0.0`` stays apart from
+        ``0.0`` (and ``True`` from ``1``, which the writer codes apart).
         """
-        build_context = _decoded_context_builder(self.feature_names)
         if not features:
-            return (build_context(()),) * count
-        interned: Dict[Tuple[Any, ...], ClientContext] = {}
-        contexts: List[ClientContext] = []
-        append = contexts.append
-        for row in zip(*features):
-            # Key by (type, value) pairs: True/1/1.0 hash equal but must
-            # not share a context (same rule as the writer's encoder).
-            key = tuple((value.__class__, value) for value in row)
-            context = interned.get(key)
-            if context is None:
-                context = build_context(row)
-                interned[key] = context
-            append(context)
-        return tuple(contexts)
+            return np.zeros(count, dtype=np.intp), (ClientContext(),) * count
+        codes, firsts = kernels.first_seen_codes(
+            *(array.view(np.int64) if kind in _RAW_KINDS else array
+              for kind, array, _ in features)
+        )
+        columns = []
+        for kind, array, vocab in features:
+            distinct = array[firsts]
+            if kind in _RAW_KINDS:
+                columns.append(distinct.tolist())
+            else:
+                vocabulary = [_decode_value(value) for value in json.loads(vocab)]
+                columns.append(_gathered(vocabulary, distinct))
+        # Trusted constructor: the manifest's schema is validated and sorted.
+        names = self.feature_names
+        contexts = [
+            ClientContext._from_sorted_items(tuple(zip(names, row)))
+            for row in zip(*columns)
+        ]
+        return codes, tuple(_gathered(contexts, codes))
 
     def shard_range(self, start: int, stop: int) -> Iterator[Tuple[int, int, int]]:
         """Yield ``(shard_index, lo, hi)`` spans covering ``[start, stop)``

@@ -61,6 +61,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.core.contracts import check_trace_columns, reconcile_shortfall
 from repro.core.diagnostics import overlap_columns
 from repro.core.estimators.base import EstimateResult, OffPolicyEstimator
@@ -70,6 +71,7 @@ from repro.core.propensity import (
     PropensitySource,
     resolve_propensity_source,
 )
+from repro.core.types import TraceColumns
 from repro.errors import EstimatorError, StoreError
 from repro.obs.spans import increment, observe, recording, span
 from repro.runtime.pool import _block_partition, _effective_workers, _fork_available
@@ -230,11 +232,24 @@ def _shared(answers: Dict, function, *arguments):
 
 
 class _ChunkPolicy(Policy):
-    """The new policy, answering each batch call about one chunk once."""
+    """The new policy, answering each batch call about one chunk once.
 
-    def __init__(self, policy: Policy):
+    A batch call about the chunk's own columns asks the wrapped policy
+    about each distinct context (or (decision, context) pair) once, in
+    first-seen order, and gathers the answers per record.  Every
+    :class:`Policy` is stationary, so a record's answer depends on its
+    context alone, and the first context that raises is the first
+    record's that would.
+    """
+
+    def __init__(self, policy: Policy, columns: TraceColumns):
         super().__init__(policy.space)
         self._policy = policy
+        self._columns = columns  # keeps the ids below valid
+        self._codes = {
+            id(columns.contexts): columns.context_codes,
+            id(columns.decisions): columns.decision_codes,
+        }
         self._answers: Dict = {}
 
     def probabilities(self, context):
@@ -244,11 +259,27 @@ class _ChunkPolicy(Policy):
         return self._policy.propensity(decision, context)
 
     def propensity_batch(self, decisions, contexts):
-        call = self._policy.propensity_batch
-        return _shared(self._answers, call, decisions, contexts)
+        return _shared(self._answers, self._pairs, decisions, contexts)
 
     def probability_matrix(self, contexts):
-        return _shared(self._answers, self._policy.probability_matrix, contexts)
+        return _shared(self._answers, self._rows, contexts)
+
+    def _pairs(self, decisions, contexts):
+        return self._distinct(self._policy.propensity_batch, decisions, contexts)
+
+    def _rows(self, contexts):
+        return self._distinct(self._policy.probability_matrix, contexts)
+
+    def _distinct(self, call, *sequences):
+        """``call(*sequences)`` asked once per distinct row; sequences
+        other than the chunk's own go to *call* unchanged."""
+        if not all(id(sequence) in self._codes for sequence in sequences):
+            return call(*sequences)
+        codes, firsts = kernels.first_seen_codes(
+            *(self._codes[id(sequence)] for sequence in sequences)
+        )
+        rows = firsts.tolist()
+        return np.asarray(call(*([s[row] for row in rows] for s in sequences)))[codes]
 
     def greedy_decision_batch(self, contexts):
         if type(self._policy).greedy_decision_batch is not Policy.greedy_decision_batch:
@@ -411,7 +442,7 @@ class PanelPass:
 
     def _score(self, chunk, cursor: int, step: _Tally) -> None:
         """Score *chunk* for every live key, noting failures in *step*."""
-        policy = _ChunkPolicy(self.policy)
+        policy = _ChunkPolicy(self.policy, chunk.columns())
         source = self._source and _ChunkSource(self._source)
         for key in self._live(step):
             try:
