@@ -24,6 +24,7 @@ default one).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -234,6 +235,15 @@ class Registry:
             known = ", ".join(sorted(self._models))
             raise EstimatorError(
                 f"unknown reward model {name!r}; registered models: {known}"
+            ) from None
+        signature = inspect.signature(factory)
+        try:
+            signature.bind(**options)
+        except TypeError:
+            accepted = ", ".join(signature.parameters) or "none"
+            raise EstimatorError(
+                f"reward model {name!r} does not take option(s) "
+                f"{sorted(options)}; its keywords: {accepted}"
             ) from None
         return factory(**options)
 

@@ -18,10 +18,11 @@ Resolution builds exactly the objects a direct caller would construct by
 hand — same constructors, same argument values — so spec-driven calls
 are bit-identical to object calls (pinned by ``tests/api``).
 
-Fingerprints hash the canonical JSON of ``to_dict()``-equivalent content
+Each spec's fields are declared once (:mod:`repro.core.schema`); its
+``from_dict``, ``to_dict`` and ``fingerprint`` derive from them.  The
+fingerprint hashes the canonical JSON of the decoded content
 (:func:`repro.core.serialize.fingerprint`), so two specs share a
-fingerprint iff they serialise identically; the serve cache keys on
-these.
+fingerprint iff they serialise identically; served responses echo it.
 
 Importing this module installs the built-in policy kinds (``uniform``,
 ``constant``, ``tabular``, ``epsilon-greedy``, ``mixture``) into
@@ -31,10 +32,12 @@ Importing this module installs the built-in policy kinds (``uniform``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Union
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache, cached_property, partial
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.api.registry import Registry, default_registry
+from repro.core import schema
 from repro.core.estimators import OffPolicyEstimator
 from repro.core.models.base import RewardModel
 from repro.core.policy import (
@@ -45,6 +48,7 @@ from repro.core.policy import (
     TabularPolicy,
     UniformRandomPolicy,
 )
+from repro.core.schema import Field
 from repro.core.serialize import decode_value, encode_value, fingerprint
 from repro.core.spaces import DecisionSpace
 from repro.errors import EstimatorError, PolicyError
@@ -59,43 +63,69 @@ __all__ = [
 ]
 
 
-def _require_mapping(payload: Any, what: str) -> Mapping[str, Any]:
-    """*payload* as a string-keyed mapping, or an actionable error."""
-    if not isinstance(payload, Mapping) or not all(
-        isinstance(key, str) for key in payload
-    ):
-        raise PolicyError(
-            f"{what} must be a string-keyed mapping, got "
-            f"{type(payload).__name__}: {payload!r}"
-        )
-    return payload
+def _checked(check, **options):
+    """A dataclass field whose value passes *check*."""
+    return field(metadata={"check": check}, **options)
 
 
-def _check_keys(
-    payload: Mapping[str, Any],
-    what: str,
-    required: Sequence[str],
-    optional: Sequence[str] = (),
-) -> None:
-    """Reject missing/unknown keys with a message naming the expected set."""
-    missing = sorted(key for key in required if key not in payload)
-    unknown = sorted(set(payload) - set(required) - set(optional))
-    if missing or unknown:
-        expected = ", ".join(
-            list(required) + [f"{key} (optional)" for key in optional]
+class _Wire:
+    """The wire form of a frozen spec dataclass, derived from its fields.
+
+    Each field's ``metadata["check"]`` is its value check and a field
+    with a default is optional on the wire; the class statement names
+    how messages call the spec (``what``) and the error it raises.
+    """
+
+    def __init_subclass__(cls, what: str, error: type, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._what, cls._error = what, error
+        # Each spec class owns its parser, so one class's from_dict can
+        # be wrapped (timed, counted) without touching the others.
+        cls.from_dict = classmethod(_Wire.from_dict.__func__)
+
+    @classmethod
+    @cache
+    def _fields(cls) -> Tuple[Field, ...]:
+        return tuple(
+            Field(
+                spec_field.name,
+                spec_field.metadata["check"],
+                schema.REQUIRED if spec_field.default_factory is MISSING else None,
+            )
+            for spec_field in fields(cls)
         )
-        parts = []
-        if missing:
-            parts.append(f"missing key(s) {missing}")
-        if unknown:
-            parts.append(f"unknown key(s) {unknown}")
-        raise PolicyError(
-            f"{what}: {'; '.join(parts)}; expected keys: {expected}"
-        )
+
+    def __post_init__(self) -> None:
+        for declared in self._fields():
+            try:
+                value = declared.check(getattr(self, declared.name))
+            except ValueError as invalid:
+                raise self._error(f"{self._what}: {declared.name} {invalid}") from None
+            object.__setattr__(self, declared.name, value)
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any]):
+        """Rebuild from :meth:`to_dict` output (or hand-written JSON);
+        tagged wire values decode, so both paths give equal specs."""
+        schema.check_keys(payload, cls._fields(), cls._what, cls._error)
+        return cls(**{key: decode_value(value) for key, value in payload.items()})
+
+    def content(self) -> Dict[str, Any]:
+        """The decoded field values — what :attr:`fingerprint` hashes."""
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The JSON-serialisable form (tuples and friends tagged)."""
+        return encode_value(self.content())
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """sha256 over the canonical JSON of this spec (computed once)."""
+        return fingerprint(self.content())
 
 
 @dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(_Wire, what="policy spec", error=PolicyError):
     """A policy as data: a registered *kind* plus its *options*.
 
     ``options`` values are plain Python (tuples allowed — the JSON form
@@ -103,41 +133,12 @@ class PolicySpec:
     two construction paths yield equal specs with equal fingerprints.
     """
 
-    kind: str
-    options: Dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, str):
-            raise PolicyError(
-                f"policy spec kind must be a string, got "
-                f"{type(self.kind).__name__}"
-            )
-        object.__setattr__(
-            self, "options", dict(_require_mapping(self.options, "policy options"))
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The JSON-serialisable form (tuples and friends tagged)."""
-        return {"kind": self.kind, "options": encode_value(self.options)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "PolicySpec":
-        """Reconstruct from :meth:`to_dict` output (or hand-written JSON)."""
-        payload = _require_mapping(payload, "policy spec")
-        _check_keys(payload, "policy spec", required=["kind"], optional=["options"])
-        return cls(
-            kind=payload["kind"],
-            options=decode_value(payload.get("options", {})),
-        )
-
-    @property
-    def fingerprint(self) -> str:
-        """sha256 over the canonical JSON of this spec."""
-        return fingerprint({"kind": self.kind, "options": self.options})
+    kind: str = _checked(schema.text)
+    options: Dict[str, Any] = _checked(schema.mapping, default_factory=dict)
 
 
 @dataclass(frozen=True)
-class EstimatorConfig:
+class EstimatorConfig(_Wire, what="estimator config", error=EstimatorError):
     """An estimator as data: a registered *name* plus its *options*.
 
     Supported options are ``clip`` (canonical weight threshold, for
@@ -147,199 +148,134 @@ class EstimatorConfig:
     anything else by name.
     """
 
-    name: str
-    options: Dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str):
-            raise EstimatorError(
-                f"estimator config name must be a string, got "
-                f"{type(self.name).__name__}"
-            )
-        try:
-            checked = dict(_require_mapping(self.options, "estimator options"))
-        except PolicyError as error:
-            raise EstimatorError(str(error)) from None
-        object.__setattr__(self, "options", checked)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The JSON-serialisable form."""
-        return {"name": self.name, "options": encode_value(self.options)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "EstimatorConfig":
-        """Reconstruct from :meth:`to_dict` output (or hand-written JSON)."""
-        if not isinstance(payload, Mapping):
-            raise EstimatorError(
-                f"estimator config must be a mapping, got "
-                f"{type(payload).__name__}: {payload!r}"
-            )
-        try:
-            _check_keys(
-                payload, "estimator config", required=["name"], optional=["options"]
-            )
-        except PolicyError as error:
-            raise EstimatorError(str(error)) from None
-        return cls(
-            name=payload["name"],
-            options=decode_value(payload.get("options", {})),
-        )
-
-    @property
-    def fingerprint(self) -> str:
-        """sha256 over the canonical JSON of this config."""
-        return fingerprint({"name": self.name, "options": self.options})
+    name: str = _checked(schema.text)
+    options: Dict[str, Any] = _checked(schema.mapping, default_factory=dict)
 
 
 @dataclass(frozen=True)
-class TraceRef:
+class TraceRef(_Wire, what="trace ref", error=PolicyError):
     """A named trace, resolved server-side by the trace catalog."""
 
-    name: str
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise PolicyError(
-                f"trace ref name must be a non-empty string, got {self.name!r}"
-            )
-
-    def to_dict(self) -> Dict[str, str]:
-        """The JSON-serialisable form."""
-        return {"name": self.name}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TraceRef":
-        """Reconstruct from :meth:`to_dict` output."""
-        payload = _require_mapping(payload, "trace ref")
-        _check_keys(payload, "trace ref", required=["name"])
-        return cls(name=payload["name"])
-
-    @property
-    def fingerprint(self) -> str:
-        """sha256 over the canonical JSON of this ref."""
-        return fingerprint({"name": self.name})
+    name: str = _checked(schema.nonempty_text)
 
 
 # -- built-in policy kinds ----------------------------------------------
 #
-# Each builder maps decoded options onto exactly the constructor call a
-# direct caller would write, so spec-built policies are the same objects
-# (and produce bit-identical probabilities) as hand-built ones.
+# Each kind declares its option fields; the builder receives the checked
+# values and makes exactly the constructor call a direct caller would
+# write, so spec-built policies are the same objects (and produce
+# bit-identical probabilities) as hand-built ones.
 
 
-def _build_space(value: Any) -> DecisionSpace:
+def _decision(value: Any) -> Any:
+    """A hashable decision (a JSON list or object is not one)."""
+    try:
+        hash(value)
+    except TypeError:
+        raise ValueError(
+            f"must be a decision (a string, number, or tagged tuple), got {value!r}"
+        ) from None
+    return value
+
+
+def _space(value: Any) -> DecisionSpace:
     """A :class:`DecisionSpace` from a decision list (or pass one through)."""
     if isinstance(value, DecisionSpace):
         return value
-    if not isinstance(value, (list, tuple)):
-        raise PolicyError(
-            "space must be a list of decisions (strings, numbers, or "
-            f"tagged tuples), got {type(value).__name__}: {value!r}"
-        )
-    return DecisionSpace(list(value))
+    return DecisionSpace(schema.list_of(_decision)(value))
 
 
-def _distribution(value: Any, what: str) -> Dict[Any, float]:
+def _distribution(value: Any) -> Dict[Any, float]:
     """A decision→probability mapping with float probabilities."""
+    if not isinstance(value, Mapping) or not all(
+        isinstance(probability, (int, float)) and not isinstance(probability, bool)
+        for probability in value.values()
+    ):
+        raise ValueError(f"must map decisions to probabilities, got {value!r}")
+    return {_decision(decision): float(p) for decision, p in value.items()}
+
+
+def _table(value: Any) -> Dict[tuple, Dict[Any, float]]:
+    """Key tuples (tagged in JSON) → decision distributions."""
     if not isinstance(value, Mapping):
-        raise PolicyError(
-            f"{what} must map decisions to probabilities, got "
-            f"{type(value).__name__}: {value!r}"
-        )
-    return {decision: float(probability) for decision, probability in value.items()}
+        raise ValueError(f"must map key tuples to distributions, got {value!r}")
+    table = {}
+    for key, row in value.items():
+        try:
+            table[key if isinstance(key, tuple) else (key,)] = _distribution(row)
+        except ValueError as invalid:
+            raise ValueError(f"row {key!r} {invalid}") from None
+    return table
 
 
-def _build_uniform(options: Dict[str, Any], registry: Registry) -> Policy:
-    """``{"kind": "uniform", "options": {"space": [...]}}``."""
-    _check_keys(options, "uniform policy options", required=["space"])
-    return UniformRandomPolicy(_build_space(options["space"]))
+def _build_uniform(registry: Registry, space: DecisionSpace) -> Policy:
+    return UniformRandomPolicy(space)
 
 
-def _build_constant(options: Dict[str, Any], registry: Registry) -> Policy:
-    """``{"kind": "constant", "options": {"space": [...], "decision": d}}``."""
-    _check_keys(
-        options, "constant policy options", required=["space", "decision"]
-    )
-    space = _build_space(options["space"])
-    decision = options["decision"]
+def _build_constant(registry: Registry, space: DecisionSpace, decision: Any) -> Policy:
     space.validate(decision)
     return DeterministicPolicy(space, lambda context: decision)
 
 
-def _build_tabular(options: Dict[str, Any], registry: Registry) -> Policy:
-    """``{"kind": "tabular", "options": {"space", "key_features", "table",
-    "default"?}}`` — table keys are context-feature tuples (tagged in
-    JSON), rows are decision→probability distributions."""
-    _check_keys(
-        options,
-        "tabular policy options",
-        required=["space", "key_features", "table"],
-        optional=["default"],
-    )
-    table = options["table"]
-    if not isinstance(table, Mapping):
-        raise PolicyError(
-            "tabular policy table must be a mapping from key tuples to "
-            f"distributions, got {type(table).__name__}"
-        )
-    default = options.get("default")
-    return TabularPolicy(
-        _build_space(options["space"]),
-        key_features=[str(name) for name in options["key_features"]],
-        table={
-            tuple(key) if isinstance(key, (list, tuple)) else (key,): _distribution(
-                row, f"tabular policy row for key {key!r}"
-            )
-            for key, row in table.items()
-        },
-        default=(
-            _distribution(default, "tabular policy default")
-            if default is not None
-            else None
-        ),
-    )
+def _build_tabular(registry: Registry, space, key_features, table, default) -> Policy:
+    return TabularPolicy(space, key_features=key_features, table=table, default=default)
 
 
-def _build_epsilon_greedy(options: Dict[str, Any], registry: Registry) -> Policy:
-    """``{"kind": "epsilon-greedy", "options": {"base": <spec>,
-    "epsilon": e}}`` — *base* is a nested policy spec."""
-    _check_keys(
-        options, "epsilon-greedy policy options", required=["base", "epsilon"]
-    )
-    base = resolve_policy_spec(options["base"], registry=registry)
-    return EpsilonGreedyPolicy(base, epsilon=float(options["epsilon"]))
+def _build_epsilon_greedy(registry: Registry, base: Any, epsilon: float) -> Policy:
+    base = resolve_policy_spec(base, registry=registry)
+    return EpsilonGreedyPolicy(base, epsilon=epsilon)
 
 
-def _build_mixture(options: Dict[str, Any], registry: Registry) -> Policy:
-    """``{"kind": "mixture", "options": {"components": [<spec>...],
-    "weights": [...]}}`` — components are nested policy specs."""
-    _check_keys(
-        options, "mixture policy options", required=["components", "weights"]
-    )
-    components = options["components"]
-    if not isinstance(components, (list, tuple)):
-        raise PolicyError(
-            "mixture components must be a list of policy specs, got "
-            f"{type(components).__name__}"
-        )
+def _build_mixture(registry: Registry, components: list, weights: list) -> Policy:
     return MixturePolicy(
         [resolve_policy_spec(entry, registry=registry) for entry in components],
-        weights=[float(weight) for weight in options["weights"]],
+        weights=weights,
     )
+
+
+_SPACE = Field("space", _space)
+
+#: kind -> (declared option fields, builder taking them as keywords).
+#: ``base`` and ``components`` are nested policy specs.
+_BUILTIN_KINDS = {
+    "uniform": ((_SPACE,), _build_uniform),
+    "constant": ((_SPACE, Field("decision", _decision)), _build_constant),
+    "tabular": (
+        (
+            _SPACE,
+            Field("key_features", schema.list_of(schema.text)),
+            Field("table", _table),
+            Field("default", _distribution, None),
+        ),
+        _build_tabular,
+    ),
+    "epsilon-greedy": (
+        (Field("base"), Field("epsilon", schema.number)),
+        _build_epsilon_greedy,
+    ),
+    "mixture": (
+        (Field("components", schema.list_of(schema.anything)),
+         Field("weights", schema.list_of(schema.number))),
+        _build_mixture,
+    ),
+}
+
+
+def _declared_kind(
+    kind: str, option_fields, build, options: Dict[str, Any], registry: Registry
+) -> Policy:
+    """A registry policy builder ``(options, registry)`` for a declared kind."""
+    values = schema.read(options, option_fields, f"{kind} policy options", PolicyError)
+    return build(registry, **values)
 
 
 def install_builtin_policies(registry: Registry) -> Registry:
     """Install the built-in policy kinds on *registry* (idempotent)."""
-    builders = {
-        "uniform": _build_uniform,
-        "constant": _build_constant,
-        "tabular": _build_tabular,
-        "epsilon-greedy": _build_epsilon_greedy,
-        "mixture": _build_mixture,
-    }
-    for kind, builder in builders.items():
+    for kind, (option_fields, build) in _BUILTIN_KINDS.items():
         if kind not in registry.policy_kinds():
-            registry.register_policy(kind, builder)
+            registry.register_policy(
+                kind, partial(_declared_kind, kind, option_fields, build)
+            )
     return registry
 
 
@@ -374,36 +310,19 @@ def resolve_policy_spec(
     return registry.build_policy(spec.kind, spec.options)
 
 
-def _resolve_model(
-    model: Union[RewardModel, str, Mapping[str, Any], None],
-    registry: Registry,
-    estimator_name: str,
-) -> Optional[RewardModel]:
-    """Resolve an estimator config's ``model`` option to a reward model."""
-    if model is None or isinstance(model, RewardModel):
-        return model
-    if isinstance(model, str):
-        return registry.build_model(model)
-    if isinstance(model, Mapping):
-        try:
-            _check_keys(
-                model,
-                f"model option for estimator {estimator_name!r}",
-                required=["name"],
-                optional=["options"],
-            )
-        except PolicyError as error:
-            raise EstimatorError(str(error)) from None
-        options = _require_mapping(
-            model.get("options", {}),
-            f"model options for estimator {estimator_name!r}",
-        )
-        return registry.build_model(model["name"], **decode_value(dict(options)))
-    raise EstimatorError(
-        f"model option for estimator {estimator_name!r} must be a reward "
-        "model, a registered model name, or a {'name': ..., 'options': ...} "
-        f"mapping; got {type(model).__name__}"
+def _model(value: Any) -> Union[RewardModel, str, EstimatorConfig]:
+    """The ``model`` estimator option: a model, a name, or ``{name, options}``."""
+    if isinstance(value, (RewardModel, str)):
+        return value
+    if isinstance(value, Mapping):
+        return EstimatorConfig.from_dict(value)
+    raise ValueError(
+        "must be a reward model, a registered model name, or a "
+        f"{{'name': ..., 'options': ...}} mapping, got {type(value).__name__}"
     )
+
+
+_ESTIMATOR_OPTIONS = (Field("clip", schema.number, None), Field("model", _model, None))
 
 
 class _HistoryEstimatorAdapter:
@@ -486,21 +405,17 @@ def resolve_estimator_config(
             f'{{"clip": 10.0}}}}; got {type(config).__name__}. '
             f"Registered estimators: {known}"
         )
-    options = dict(config.options)
-    model = _resolve_model(options.pop("model", None), registry, config.name)
-    clip = options.pop("clip", None)
-    if options:
-        raise EstimatorError(
-            f"unknown option(s) {sorted(options)} for estimator "
-            f"{config.name!r}; supported options: clip (weight threshold, "
-            "for estimators that support clipping), model (reward-model "
-            "name or {'name': ..., 'options': ...} mapping, for "
-            "model-based estimators)"
-        )
+    options = schema.read(
+        config.options,
+        _ESTIMATOR_OPTIONS,
+        f"estimator {config.name!r} options (supported options: clip, model)",
+        EstimatorError,
+    )
+    model = options["model"]
+    if isinstance(model, str):
+        model = registry.build_model(model)
+    elif isinstance(model, EstimatorConfig):
+        model = registry.build_model(model.name, **model.options)
     return _adapt_estimator(
-        registry.build_estimator(
-            config.name,
-            model=model,
-            clip=float(clip) if clip is not None else None,
-        )
+        registry.build_estimator(config.name, model=model, clip=options["clip"])
     )

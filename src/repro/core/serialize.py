@@ -105,16 +105,16 @@ def decode_value(payload: Any) -> Any:
         return tuple(decode_value(item) for item in payload)
     if isinstance(payload, list):
         return [decode_value(item) for item in payload]
-    if isinstance(payload, dict):
+    if not isinstance(payload, dict):
+        return payload
+    if set(payload) == {"__float__"}:
+        try:
+            return _FLOAT_TAGS[payload["__float__"]]
+        except (KeyError, TypeError):
+            raise TraceError(f"unknown float tag {payload['__float__']!r}") from None
+    try:
         if set(payload) == {"__tuple__"}:
             return tuple(decode_value(item) for item in payload["__tuple__"])
-        if set(payload) == {"__float__"}:
-            try:
-                return _FLOAT_TAGS[payload["__float__"]]
-            except (KeyError, TypeError):
-                raise TraceError(
-                    f"unknown float tag {payload['__float__']!r}"
-                ) from None
         if set(payload) == {"__pairs__"}:
             return {
                 decode_value(key): decode_value(item)
@@ -125,8 +125,12 @@ def decode_value(payload: Any) -> Any:
                 [decode_value(item) for item in payload["__ndarray__"]],
                 dtype=np.dtype(payload["dtype"]),
             )
-        return {key: decode_value(item) for key, item in payload.items()}
-    return payload
+    except (TypeError, ValueError) as error:
+        # A malformed tag is bad input, like an unknown float tag.
+        raise TraceError(
+            f"malformed tagged value with keys {sorted(payload)}: {error}"
+        ) from None
+    return {key: decode_value(item) for key, item in payload.items()}
 
 
 def canonical_json(value: Any) -> str:

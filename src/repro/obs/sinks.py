@@ -27,7 +27,10 @@ Telemetry file format (one JSON object per line, like the run ledger):
 * final line — ``{"kind": "summary", "telemetry": <merged payload>}``
   where the merge was performed in run-index order.
 
-``python -m repro.obs.validate FILE`` checks this schema in CI.
+The three line shapes are declared once, as :data:`HEADER_FIELDS`,
+:data:`RUN_FIELDS` and :data:`SUMMARY_FIELDS`: the writer builds each
+line from them and ``python -m repro.obs.validate FILE`` (run in CI)
+checks against them.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
+from repro.core import schema
+from repro.core.schema import Field
 from repro.obs.metrics import SNAPSHOT_SECTIONS, merge_snapshot, snapshot_is_empty
 from repro.obs.spans import PATH_SEPARATOR, Recorder, SpanRecord
 
@@ -45,6 +50,65 @@ TELEMETRY_VERSION = 1
 #: Canonical duration journaled for telemetry lines (telemetry is
 #: deterministic; real timings live in the non-journaled profile).
 CANONICAL_DURATION = 0.0
+
+#: The entries of the keyed metric sections, as the snapshot writes them.
+_ENTRY_FIELDS = {
+    "gauges": tuple(Field(key, schema.number) for key in ("last", "updates")),
+    "histograms": tuple(
+        Field(key, schema.number) for key in ("count", "total", "min", "max")
+    ),
+}
+
+
+def _check_metrics(metrics: Any) -> None:
+    if not isinstance(metrics, dict) or not metrics.keys() <= set(SNAPSHOT_SECTIONS):
+        raise ValueError(f"metrics must be an object with sections {SNAPSHOT_SECTIONS}")
+    for section in SNAPSHOT_SECTIONS:
+        if not isinstance(metrics.get(section, {}), dict):
+            raise ValueError(f"metric section {section!r} must be an object")
+    for name, value in metrics.get("counters", {}).items():
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError(f"counter {name!r} must be a number, got {value!r}")
+    for section, entry_fields in _ENTRY_FIELDS.items():
+        for name, entry in metrics.get(section, {}).items():
+            schema.read(entry, entry_fields, f"{section[:-1]} {name!r}", ValueError)
+
+
+def _check_telemetry(telemetry: Any) -> Any:
+    """The check of a line's ``telemetry``: null or the payload above."""
+    if telemetry is None:
+        return None
+    if not isinstance(telemetry, dict) or not telemetry.keys() <= {"metrics", "spans"}:
+        raise ValueError("must be null or an object with keys metrics and spans")
+    if "metrics" in telemetry:
+        _check_metrics(telemetry["metrics"])
+    spans = telemetry.get("spans", {})
+    if not isinstance(spans, dict) or not all(
+        type(count) is int and count >= 1 for count in spans.values()
+    ):
+        raise ValueError("spans must map span paths to positive integers")
+    return telemetry
+
+
+HEADER_FIELDS = (
+    Field("kind", schema.one_of(TELEMETRY_KIND)),
+    Field("version", schema.one_of(TELEMETRY_VERSION)),
+    Field("experiment", schema.text),
+    Field("root_seed", schema.integer),
+    Field("runs", schema.count),
+)
+RUN_FIELDS = (
+    Field("kind", schema.one_of("run")),
+    Field("index", schema.count),
+    Field("seed", schema.integer),
+    Field("status", schema.text),
+    Field("duration", schema.one_of(CANONICAL_DURATION)),
+    Field("telemetry", _check_telemetry),
+)
+SUMMARY_FIELDS = (
+    Field("kind", schema.one_of("summary")),
+    Field("telemetry", _check_telemetry),
+)
 
 
 def run_telemetry(recorder: Recorder) -> Optional[Dict[str, Any]]:
@@ -128,29 +192,32 @@ def write_telemetry_file(
     path.parent.mkdir(parents=True, exist_ok=True)
     lines: List[str] = [
         json.dumps(
-            {
-                "kind": TELEMETRY_KIND,
-                "version": TELEMETRY_VERSION,
-                "experiment": experiment,
-                "root_seed": root_seed,
-                "runs": runs,
-            }
+            schema.build(
+                HEADER_FIELDS,
+                kind=TELEMETRY_KIND,
+                version=TELEMETRY_VERSION,
+                experiment=experiment,
+                root_seed=root_seed,
+                runs=runs,
+            )
         )
     ]
     for record in records:
         lines.append(
             json.dumps(
-                {
-                    "kind": "run",
-                    "index": record.index,
-                    "seed": record.seed,
-                    "status": record.status,
-                    "duration": CANONICAL_DURATION,
-                    "telemetry": record.telemetry,
-                }
+                schema.build(
+                    RUN_FIELDS,
+                    kind="run",
+                    index=record.index,
+                    seed=record.seed,
+                    status=record.status,
+                    duration=CANONICAL_DURATION,
+                    telemetry=record.telemetry,
+                )
             )
         )
-    lines.append(json.dumps({"kind": "summary", "telemetry": dict(summary) if summary else None}))
+    summary = dict(summary) if summary else None
+    lines.append(json.dumps(schema.build(SUMMARY_FIELDS, kind="summary", telemetry=summary)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

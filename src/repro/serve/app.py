@@ -8,22 +8,16 @@ All estimation goes through :mod:`repro.api` with spec-resolved
 arguments, so a served response's ``report`` section is bit-identical
 (after the JSON round trip) to the direct library call.
 
-Request model (``POST /v1/evaluate``)::
-
-    {
-      "trace": {"name": "demo"},                      # TraceRef
-      "policy": {"kind": "uniform", "options": ...},  # PolicySpec
-      "estimator": {"name": "dr", "options": ...},    # or "dr"
-      "propensities": <PolicySpec> | null,
-      "propensity_floor": float | null,
-      "diagnostics": true,
-      "bootstrap_replicates": 0,
-      "seed": int | null,                             # bootstrap rng
-      "cache": "use" | "bypass"
-    }
-
-``POST /v1/compare`` replaces ``estimator`` with ``estimators`` (a list
-of names/configs; default panel ``["dm", "snips", "dr"]``).  GET
+Request model: the ``POST /v1/evaluate`` body is declared once, as the
+field table ``_EVALUATE_FIELDS`` — a trace ref, a policy spec, an
+estimator config or name (default ``"dr"``), and the optional
+``propensities`` spec, ``propensity_floor``, ``diagnostics``,
+``bootstrap_replicates``, ``seed`` and ``cache`` (``"use"`` or
+``"bypass"``).  ``POST /v1/compare`` swaps ``estimator`` and
+``propensity_floor`` for ``estimators`` (a list of names/configs;
+default panel ``["dm", "snips", "dr"]``).  Responses are declared the
+same way (``HEAD_FIELDS`` and its sections), and
+:mod:`repro.serve.validate` checks against those tables.  GET
 endpoints: ``/v1/health``, ``/v1/registry``, ``/v1/telemetry``.
 
 Concurrency model (single event loop + worker threads):
@@ -47,11 +41,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Any, Dict, NamedTuple, Optional, Tuple, Union
 
 from repro import api
 from repro.api.registry import Registry, default_registry
 from repro.api.specs import EstimatorConfig, PolicySpec, TraceRef
+from repro.core import schema
+from repro.core.schema import Field
 from repro.core.serialize import fingerprint
 from repro.errors import (
     EstimatorError,
@@ -68,193 +64,170 @@ from repro.store.naming import ResolvedTrace, TraceCatalog
 #: Response payload discriminator and version.
 RESPONSE_KIND = "repro.serve.response"
 RESPONSE_VERSION = 1
+ERROR_KIND = "repro.serve.error"
 
 #: Default estimator panel for ``/v1/compare`` (matches ``api.compare``).
 DEFAULT_PANEL = ("dm", "snips", "dr")
 
-_EVALUATE_KEYS = frozenset(
-    {
-        "trace",
-        "policy",
-        "estimator",
-        "propensities",
-        "propensity_floor",
-        "diagnostics",
-        "bootstrap_replicates",
-        "seed",
-        "cache",
-    }
+
+def _parsed_by(spec_class: type):
+    """A field check parsing its value with *spec_class*'s ``from_dict``
+    (looked up per call, so a wrapped parser sees every request)."""
+    return lambda value: spec_class.from_dict(value)
+
+
+def _estimator(entry: Any) -> EstimatorConfig:
+    """An estimator body entry (name or config mapping) as a config."""
+    if isinstance(entry, str):
+        return EstimatorConfig(name=entry)
+    if isinstance(entry, dict):
+        return EstimatorConfig.from_dict(entry)
+    raise ValueError(
+        "must be a registry name or a {\"name\": ..., \"options\": ...} "
+        f"mapping, got {entry!r}"
+    )
+
+
+# -- request and response declarations -----------------------------------
+
+_EVALUATE_FIELDS = (
+    Field("trace", _parsed_by(TraceRef)),
+    Field("policy", _parsed_by(PolicySpec)),
+    Field("estimator", _estimator, EstimatorConfig(name="dr")),
+    Field("propensities", _parsed_by(PolicySpec), None),
+    Field("propensity_floor", schema.number, None),
+    Field("diagnostics", schema.boolean, True),
+    Field("bootstrap_replicates", schema.count, 0),
+    Field("seed", schema.count, None),
+    Field("cache", schema.one_of("use", "bypass"), "use"),
 )
 # compare() takes no propensity_floor (the panel resolves propensities
 # per estimator, as api.compare does).
-_COMPARE_KEYS = (_EVALUATE_KEYS - {"estimator", "propensity_floor"}) | {
-    "estimators"
+_REQUEST_FIELDS = {
+    "evaluate": _EVALUATE_FIELDS,
+    "compare": tuple(
+        declared
+        for declared in _EVALUATE_FIELDS
+        if declared.name not in ("estimator", "propensity_floor")
+    )
+    + (
+        Field(
+            "estimators",
+            schema.list_of(_estimator, nonempty=True),
+            tuple(EstimatorConfig(name=name) for name in DEFAULT_PANEL),
+        ),
+    ),
 }
 
 
-def _json_body(request: HttpRequest) -> Dict[str, Any]:
-    """The request body as a JSON object, or a 400."""
-    if not request.body:
-        raise ServeError("request body is empty; expected a JSON object")
-    try:
-        payload = json.loads(request.body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ServeError(f"request body is not valid JSON: {error}") from None
-    if not isinstance(payload, dict):
-        raise ServeError(
-            f"request body must be a JSON object, got "
-            f"{type(payload).__name__}"
-        )
-    return payload
-
-
-def _check_body_keys(body: Mapping[str, Any], allowed: frozenset, what: str) -> None:
-    """Reject unknown body keys by name (silent drops would lie)."""
-    unknown = sorted(set(body) - allowed)
-    if unknown:
-        raise ServeError(
-            f"{what}: unknown key(s) {unknown}; allowed keys: "
-            f"{sorted(allowed)}"
-        )
-
-
-def _as_bool(value: Any, what: str, default: bool) -> bool:
-    if value is None:
-        return default
-    if isinstance(value, bool):
-        return value
-    raise ServeError(f"{what} must be a boolean, got {value!r}")
-
-
-def _as_int(value: Any, what: str, default: int) -> int:
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ServeError(f"{what} must be an integer, got {value!r}")
+def _error_status(value: Any) -> int:
+    if schema.integer(value) not in range(400, 600):
+        raise ValueError(f"must be a 4xx/5xx integer, got {value!r}")
     return value
 
 
-class _ParsedRequest:
-    """One validated evaluate/compare request, specs and all."""
+#: An evaluate/compare answer: the head is encoded once per computation,
+#: the cache section is spliced on last per answer.
+HEAD_FIELDS = (
+    Field("kind", schema.one_of(RESPONSE_KIND)),
+    Field("version", schema.one_of(RESPONSE_VERSION)),
+    Field("endpoint", schema.one_of(*_REQUEST_FIELDS)),
+    Field("trace"),
+    Field("fingerprints"),
+    Field("report"),
+)
+RESPONSE_FIELDS = HEAD_FIELDS + (Field("cache"),)
+TRACE_FIELDS = (
+    Field("name", schema.nonempty_text),
+    Field("kind", schema.one_of("sharded", "jsonl")),
+    Field("schema_hash", schema.nonempty_text),
+    Field("records", schema.count),
+)
+#: The spec fingerprints echoed per endpoint, named like the request
+#: fields they fingerprint.
+FINGERPRINT_FIELDS = {
+    "evaluate": (
+        Field("policy", schema.sha256_hex),
+        Field("trace", schema.sha256_hex),
+        Field("estimator", schema.sha256_hex),
+    ),
+    "compare": (
+        Field("policy", schema.sha256_hex),
+        Field("trace", schema.sha256_hex),
+        Field("estimators", schema.list_of(schema.sha256_hex, nonempty=True)),
+    ),
+}
+CACHE_FIELDS = (
+    Field("hit", schema.boolean),
+    Field("coalesced", schema.boolean),
+    Field("bypass", schema.boolean),
+    Field("key", schema.sha256_hex),
+)
+ERROR_FIELDS = (
+    Field("kind", schema.one_of(ERROR_KIND)),
+    Field("status", _error_status),
+    Field("error", schema.nonempty_text),
+)
 
-    def __init__(self, endpoint: str, body: Dict[str, Any]):
-        allowed = _EVALUATE_KEYS if endpoint == "evaluate" else _COMPARE_KEYS
-        _check_body_keys(body, allowed, f"{endpoint} request")
-        if "trace" not in body:
-            raise ServeError(
-                f"{endpoint} request has no 'trace'; expected "
-                '{"trace": {"name": ...}, "policy": {...}, ...}'
-            )
-        if "policy" not in body:
-            raise ServeError(f"{endpoint} request has no 'policy'")
+
+def _json_body(request: HttpRequest) -> Any:
+    """The request body as parsed JSON, or a 400."""
+    if not request.body:
+        raise ServeError("request body is empty; expected a JSON object")
+    try:
+        return json.loads(request.body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ServeError(f"request body is not valid JSON: {error}") from None
+
+
+def _wire_content(value: Any) -> Any:
+    """A parsed request value as plain data: specs by their content."""
+    if isinstance(value, (list, tuple)):
+        return [_wire_content(item) for item in value]
+    if isinstance(value, (PolicySpec, EstimatorConfig, TraceRef)):
+        return value.content()
+    return value
+
+
+def _fingerprint_of(value: Any) -> Any:
+    if isinstance(value, (list, tuple)):
+        return [item.fingerprint for item in value]
+    return value.fingerprint
+
+
+class _ParsedRequest:
+    """One validated evaluate/compare request: its declared values."""
+
+    def __init__(self, endpoint: str, body: Any):
         self.endpoint = endpoint
-        self.trace_ref = TraceRef.from_dict(body["trace"])
-        self.policy_spec = PolicySpec.from_dict(body["policy"])
-        self.estimator_configs: List[EstimatorConfig] = []
-        if endpoint == "evaluate":
-            self.estimator_configs = [
-                _normalise_estimator(body.get("estimator", "dr"))
-            ]
-        else:
-            entries = body.get("estimators", list(DEFAULT_PANEL))
-            if not isinstance(entries, list) or not entries:
-                raise ServeError(
-                    "compare request 'estimators' must be a non-empty list "
-                    "of estimator names or configs"
-                )
-            self.estimator_configs = [
-                _normalise_estimator(entry) for entry in entries
-            ]
-        propensities = body.get("propensities")
-        self.propensities_spec: Optional[PolicySpec] = (
-            PolicySpec.from_dict(propensities) if propensities is not None else None
+        self.values = schema.read(
+            body, _REQUEST_FIELDS[endpoint], f"{endpoint} request", ServeError
         )
-        floor = body.get("propensity_floor") if endpoint == "evaluate" else None
-        if floor is not None and (
-            isinstance(floor, bool) or not isinstance(floor, (int, float))
-        ):
-            raise ServeError(
-                f"propensity_floor must be a number, got {floor!r}"
-            )
-        self.propensity_floor: Optional[float] = (
-            float(floor) if floor is not None else None
-        )
-        self.diagnostics = _as_bool(body.get("diagnostics"), "diagnostics", True)
-        self.bootstrap_replicates = _as_int(
-            body.get("bootstrap_replicates"), "bootstrap_replicates", 0
-        )
-        if self.bootstrap_replicates < 0:
-            raise ServeError(
-                f"bootstrap_replicates must be non-negative, got "
-                f"{self.bootstrap_replicates}"
-            )
-        self.seed: Optional[int] = (
-            _as_int(body.get("seed"), "seed", 0)
-            if body.get("seed") is not None
-            else None
-        )
-        cache_mode = body.get("cache", "use")
-        if cache_mode not in ("use", "bypass"):
-            raise ServeError(
-                f'cache must be "use" or "bypass", got {cache_mode!r}'
-            )
-        self.bypass_cache = cache_mode == "bypass"
+        self.bypass_cache = self.values["cache"] == "bypass"
 
     def cache_key(self, resolved: ResolvedTrace) -> str:
         """The request fingerprint — the served cache key.
 
-        Includes the trace's current ``schema_hash`` (not just its
-        name): when ``repro repair`` rewrites a store, the hash moves
-        and every stale entry silently misses.
+        One canonical encoding of the endpoint, the trace's name and
+        current ``schema_hash`` (when ``repro repair`` rewrites a store
+        the hash moves and every stale entry silently misses), the
+        decoded spec content and every option but ``cache``.
         """
-        return fingerprint(
-            {
-                "endpoint": self.endpoint,
-                "trace": {"name": resolved.name, "schema_hash": resolved.schema_hash},
-                "policy": self.policy_spec.fingerprint,
-                "estimators": [
-                    config.fingerprint for config in self.estimator_configs
-                ],
-                "propensities": (
-                    self.propensities_spec.fingerprint
-                    if self.propensities_spec is not None
-                    else None
-                ),
-                "options": {
-                    "propensity_floor": self.propensity_floor,
-                    "diagnostics": self.diagnostics,
-                    "bootstrap_replicates": self.bootstrap_replicates,
-                    "seed": self.seed,
-                },
-            }
-        )
+        content = {
+            name: _wire_content(value)
+            for name, value in self.values.items()
+            if name != "cache"
+        }
+        content["trace"] = {"name": resolved.name, "schema_hash": resolved.schema_hash}
+        content["endpoint"] = self.endpoint
+        return fingerprint(content)
 
     def fingerprints(self) -> Dict[str, Any]:
         """The spec fingerprints echoed in every response."""
-        payload: Dict[str, Any] = {
-            "policy": self.policy_spec.fingerprint,
-            "trace": self.trace_ref.fingerprint,
+        return {
+            declared.name: _fingerprint_of(self.values[declared.name])
+            for declared in FINGERPRINT_FIELDS[self.endpoint]
         }
-        if self.endpoint == "evaluate":
-            payload["estimator"] = self.estimator_configs[0].fingerprint
-        else:
-            payload["estimators"] = [
-                config.fingerprint for config in self.estimator_configs
-            ]
-        return payload
-
-
-def _normalise_estimator(entry: Any) -> EstimatorConfig:
-    """An estimator body entry (name or config mapping) as a config."""
-    if isinstance(entry, str):
-        return EstimatorConfig(name=entry)
-    if isinstance(entry, Mapping):
-        return EstimatorConfig.from_dict(entry)
-    raise ServeError(
-        "estimator entries must be registry names or "
-        '{"name": ..., "options": ...} mappings, got '
-        f"{type(entry).__name__}: {entry!r}"
-    )
 
 
 class EvaluationService:
@@ -371,14 +344,13 @@ class EvaluationService:
     ) -> Tuple[int, EncodedPayload]:
         parsed = _ParsedRequest(endpoint, _json_body(request))
         increment(f"serve.request.{endpoint}")
-        if parsed.trace_ref.name not in self._catalog:
+        name = parsed.values["trace"].name
+        if name not in self._catalog:
             known = ", ".join(self._catalog.names())
             raise ServeError(
-                f"unknown trace {parsed.trace_ref.name!r}; registered "
-                f"traces: {known}",
-                status=404,
+                f"unknown trace {name!r}; registered traces: {known}", status=404
             )
-        resolved = self._catalog.resolve(parsed.trace_ref.name)
+        resolved = self._catalog.resolve(name)
         key = parsed.cache_key(resolved)
 
         cached = None if parsed.bypass_cache else self._cache.get(key)
@@ -421,52 +393,47 @@ class EvaluationService:
         async with lock:
             report = await asyncio.to_thread(self._estimate, parsed, resolved)
         increment(f"serve.{parsed.endpoint}.computed")
-        payload = {
-            "kind": RESPONSE_KIND,
-            "version": RESPONSE_VERSION,
-            "endpoint": parsed.endpoint,
-            "trace": {
-                "name": resolved.name,
-                "kind": resolved.kind,
-                "schema_hash": resolved.schema_hash,
-                "records": resolved.records,
-            },
-            "fingerprints": parsed.fingerprints(),
-            "report": report.to_json_dict(),
-        }
+        payload = schema.build(
+            HEAD_FIELDS,
+            kind=RESPONSE_KIND,
+            version=RESPONSE_VERSION,
+            endpoint=parsed.endpoint,
+            trace=schema.build(
+                TRACE_FIELDS,
+                name=resolved.name,
+                kind=resolved.kind,
+                schema_hash=resolved.schema_hash,
+                records=resolved.records,
+            ),
+            fingerprints=parsed.fingerprints(),
+            report=report.to_json_dict(),
+        )
         return json.dumps(payload, allow_nan=False).encode("utf-8")[:-1]
 
     def _estimate(self, parsed: _ParsedRequest, resolved: ResolvedTrace):
         """The blocking estimation call (worker thread)."""
-        propensities = (
-            api.resolve_policy_spec(parsed.propensities_spec, self._registry)
-            if parsed.propensities_spec is not None
-            else None
+        values = parsed.values
+        common = dict(
+            propensities=values["propensities"],
+            diagnostics=values["diagnostics"],
+            bootstrap_replicates=values["bootstrap_replicates"],
+            rng=values["seed"],
+            registry=self._registry,
         )
         with span("serve.estimate", endpoint=parsed.endpoint, trace=resolved.name):
             if parsed.endpoint == "evaluate":
                 return api.evaluate(
                     resolved.trace,
-                    parsed.policy_spec,
-                    estimator=parsed.estimator_configs[0],
-                    propensities=propensities,
-                    propensity_floor=parsed.propensity_floor,
-                    diagnostics=parsed.diagnostics,
-                    bootstrap_replicates=parsed.bootstrap_replicates,
-                    rng=parsed.seed,
-                    registry=self._registry,
+                    values["policy"],
+                    estimator=values["estimator"],
+                    propensity_floor=values["propensity_floor"],
+                    **common,
                 )
-            # compare() takes no propensity_floor (request validation
-            # already rejected it for this endpoint).
             return api.compare(
                 resolved.trace,
-                parsed.policy_spec,
-                estimators=list(parsed.estimator_configs),
-                propensities=propensities,
-                diagnostics=parsed.diagnostics,
-                bootstrap_replicates=parsed.bootstrap_replicates,
-                rng=parsed.seed,
-                registry=self._registry,
+                values["policy"],
+                estimators=list(values["estimators"]),
+                **common,
             )
 
 
@@ -485,9 +452,9 @@ def _cache_section(
     key: str, hit: bool = False, coalesced: bool = False, bypass: bool = False
 ) -> Dict[str, Any]:
     """The per-request cache section of an evaluate/compare answer."""
-    return {"hit": hit, "coalesced": coalesced, "bypass": bypass, "key": key}
+    return schema.build(CACHE_FIELDS, hit=hit, coalesced=coalesced, bypass=bypass, key=key)
 
 
 def _error_payload(status: int, message: str) -> Dict[str, Any]:
     """The uniform error body."""
-    return {"kind": "repro.serve.error", "status": status, "error": message}
+    return schema.build(ERROR_FIELDS, kind=ERROR_KIND, status=status, error=message)

@@ -19,39 +19,19 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
+from repro.core import schema
 from repro.core.reporting import EvaluationReport
 from repro.errors import ServeError, TraceError
-from repro.serve.app import RESPONSE_KIND, RESPONSE_VERSION
-
-_ENVELOPE_KEYS = {
-    "kind",
-    "version",
-    "endpoint",
-    "trace",
-    "fingerprints",
-    "report",
-    "cache",
-}
-_TRACE_KEYS = {"name", "kind", "schema_hash", "records"}
-_CACHE_KEYS = {"hit", "coalesced", "bypass", "key"}
-_ERROR_KEYS = {"kind", "status", "error"}
-
-_SHA256_HEX = set("0123456789abcdef")
-
-
-def _fail(where: str, message: str) -> None:
-    raise ServeError(f"{where}: {message}")
-
-
-def _check_fingerprint(where: str, what: str, value: Any) -> None:
-    if (
-        not isinstance(value, str)
-        or len(value) != 64
-        or not set(value) <= _SHA256_HEX
-    ):
-        _fail(where, f"{what} must be a 64-char sha256 hex digest, got {value!r}")
+from repro.serve.app import (
+    CACHE_FIELDS,
+    ERROR_FIELDS,
+    ERROR_KIND,
+    FINGERPRINT_FIELDS,
+    RESPONSE_FIELDS,
+    TRACE_FIELDS,
+)
 
 
 def validate_report_payload(
@@ -75,84 +55,17 @@ def validate_response_payload(payload: Any, where: str = "response") -> None:
     Raises :class:`~repro.errors.ServeError` naming the first offending
     field; returns ``None`` on success.
     """
-    if not isinstance(payload, Mapping):
-        _fail(where, f"payload must be a JSON object, got {type(payload).__name__}")
-    kind = payload.get("kind")
-    if kind == "repro.serve.error":
-        unknown = set(payload) - _ERROR_KEYS
-        if unknown:
-            _fail(where, f"error payload has unknown key(s) {sorted(unknown)}")
-        status = payload.get("status")
-        if not isinstance(status, int) or isinstance(status, bool) or not (
-            400 <= status <= 599
-        ):
-            _fail(where, f"error status must be a 4xx/5xx integer, got {status!r}")
-        if not isinstance(payload.get("error"), str) or not payload["error"]:
-            _fail(where, "error payload must carry a non-empty 'error' string")
+    if isinstance(payload, dict) and payload.get("kind") == ERROR_KIND:
+        schema.read(payload, ERROR_FIELDS, where, ServeError)
         return
-    if kind != RESPONSE_KIND:
-        _fail(
-            where,
-            f"kind {kind!r} is neither {RESPONSE_KIND!r} nor "
-            "'repro.serve.error'",
-        )
-    if payload.get("version") != RESPONSE_VERSION:
-        _fail(
-            where,
-            f"unsupported response version {payload.get('version')!r} "
-            f"(this build reads version {RESPONSE_VERSION})",
-        )
-    missing = sorted(_ENVELOPE_KEYS - set(payload))
-    unknown = sorted(set(payload) - _ENVELOPE_KEYS)
-    if missing:
-        _fail(where, f"missing key(s) {missing}")
-    if unknown:
-        _fail(where, f"unknown key(s) {unknown}")
-    endpoint = payload["endpoint"]
-    if endpoint not in ("evaluate", "compare"):
-        _fail(where, f"endpoint must be 'evaluate' or 'compare', got {endpoint!r}")
-
-    trace = payload["trace"]
-    if not isinstance(trace, Mapping) or set(trace) != _TRACE_KEYS:
-        _fail(
-            where,
-            f"trace section must have exactly keys {sorted(_TRACE_KEYS)}",
-        )
-    if not isinstance(trace["name"], str) or not trace["name"]:
-        _fail(where, "trace name must be a non-empty string")
-    if trace["kind"] not in ("sharded", "jsonl"):
-        _fail(where, f"trace kind must be 'sharded' or 'jsonl', got {trace['kind']!r}")
-    if not isinstance(trace["schema_hash"], str) or not trace["schema_hash"]:
-        _fail(where, "trace schema_hash must be a non-empty string")
-    records = trace["records"]
-    if not isinstance(records, int) or isinstance(records, bool) or records < 0:
-        _fail(where, f"trace records must be a non-negative integer, got {records!r}")
-
-    fingerprints = payload["fingerprints"]
-    if not isinstance(fingerprints, Mapping):
-        _fail(where, "fingerprints section must be an object")
-    _check_fingerprint(where, "policy fingerprint", fingerprints.get("policy"))
-    _check_fingerprint(where, "trace fingerprint", fingerprints.get("trace"))
-    if endpoint == "evaluate":
-        _check_fingerprint(
-            where, "estimator fingerprint", fingerprints.get("estimator")
-        )
-    else:
-        entries = fingerprints.get("estimators")
-        if not isinstance(entries, list) or not entries:
-            _fail(where, "compare fingerprints must carry a non-empty 'estimators' list")
-        for index, entry in enumerate(entries):
-            _check_fingerprint(where, f"estimator fingerprint [{index}]", entry)
-
-    cache = payload["cache"]
-    if not isinstance(cache, Mapping) or set(cache) != _CACHE_KEYS:
-        _fail(where, f"cache section must have exactly keys {sorted(_CACHE_KEYS)}")
-    for flag in ("hit", "coalesced", "bypass"):
-        if not isinstance(cache[flag], bool):
-            _fail(where, f"cache.{flag} must be a boolean, got {cache[flag]!r}")
-    _check_fingerprint(where, "cache.key", cache.get("key"))
-
-    validate_report_payload(payload["report"], where=f"{where}.report")
+    envelope = schema.read(payload, RESPONSE_FIELDS, where, ServeError)
+    for name, section_fields in (
+        ("trace", TRACE_FIELDS),
+        ("fingerprints", FINGERPRINT_FIELDS[envelope["endpoint"]]),
+        ("cache", CACHE_FIELDS),
+    ):
+        schema.read(envelope[name], section_fields, f"{where}.{name}", ServeError)
+    validate_report_payload(envelope["report"], where=f"{where}.report")
 
 
 def validate_response_file(path: Union[str, Path]) -> Dict[str, Any]:
@@ -170,31 +83,21 @@ def validate_response_file(path: Union[str, Path]) -> Dict[str, Any]:
     return payload
 
 
+def _describe(payload: Dict[str, Any]) -> str:
+    if payload["kind"] == ERROR_KIND:
+        return f"error status={payload['status']}"
+    return f"{payload['endpoint']} trace={payload['trace']['name']}"
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point: validate each path argument, report, exit 0/1."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv:
-        print(
-            "usage: python -m repro.serve.validate RESPONSE_PAYLOAD.json [...]",
-            file=sys.stderr,
-        )
-        return 1
-    status = 0
-    for raw in argv:
-        try:
-            payload = validate_response_file(raw)
-        except ServeError as error:
-            print(f"INVALID {error}", file=sys.stderr)
-            status = 1
-        else:
-            kind = payload.get("kind")
-            label = (
-                f"error status={payload.get('status')}"
-                if kind == "repro.serve.error"
-                else f"{payload.get('endpoint')} trace={payload['trace']['name']}"
-            )
-            print(f"OK {raw}: {label}")
-    return status
+    return schema.validate_paths(
+        argv,
+        "python -m repro.serve.validate RESPONSE_PAYLOAD.json [...]",
+        validate_response_file,
+        _describe,
+        ServeError,
+    )
 
 
 if __name__ == "__main__":

@@ -257,8 +257,29 @@ class TestTelemetryFile:
             (1, lambda payload: payload.update(index="zero")),
             (0, lambda payload: payload.update(runs="two")),
             (1, lambda payload: payload.update(telemetry={"metrics": {"counters": []}})),
+            (0, lambda payload: payload.update(experiment=["x"])),
+            (0, lambda payload: payload.update(root_seed="s")),
+            (0, lambda payload: payload.update(extra=1)),
+            (1, lambda payload: payload.update(seed=None)),
+            (1, lambda payload: payload.update(status=17)),
+            (1, lambda payload: payload.update(duration=False)),
+            (1, lambda payload: payload.update(extra=1)),
+            (3, lambda payload: payload.update(extra=1)),
         ],
-        ids=["duration", "index", "runs", "counters"],
+        ids=[
+            "duration",
+            "index",
+            "runs",
+            "counters",
+            "header-experiment",
+            "header-root-seed",
+            "header-unknown-key",
+            "run-seed",
+            "run-status",
+            "run-duration-false",
+            "run-unknown-key",
+            "summary-unknown-key",
+        ],
     )
     def test_tampered_file_rejected_with_line_number(self, tmp_path, line, tamper):
         # Malformed fields must surface as a TelemetryError naming the

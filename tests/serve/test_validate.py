@@ -6,12 +6,15 @@ import json
 
 import pytest
 
+from repro import api, core
 from repro.errors import ServeError
 from repro.serve.validate import (
     main,
     validate_response_file,
     validate_response_payload,
 )
+
+from tests.conftest import make_uniform_trace
 
 GOOD_ERROR = {"kind": "repro.serve.error", "status": 404, "error": "nope"}
 
@@ -71,6 +74,26 @@ class TestEnvelopes:
             "cache": {"hit": False, "coalesced": False, "bypass": False, "key": "k"},
         }
         with pytest.raises(ServeError, match="sha256"):
+            validate_response_payload(payload)
+
+
+class TestFingerprintSection:
+    def test_extra_fingerprint_keys_rejected(self, abc_space, rng):
+        trace = make_uniform_trace(abc_space, lambda c, d: 1.0, rng, n=50)
+        report = api.evaluate(trace, core.UniformRandomPolicy(abc_space), estimator="ips")
+        digest = "0" * 64
+        payload = {
+            "kind": "repro.serve.response",
+            "version": 1,
+            "endpoint": "evaluate",
+            "trace": {"name": "t", "kind": "jsonl", "schema_hash": "abc", "records": 50},
+            "fingerprints": {"policy": digest, "trace": digest, "estimator": digest},
+            "report": report.to_json_dict(),
+            "cache": {"hit": False, "coalesced": False, "bypass": False, "key": digest},
+        }
+        validate_response_payload(payload)
+        payload["fingerprints"].update(estimators=[digest], bogus=digest)
+        with pytest.raises(ServeError, match="unknown key"):
             validate_response_payload(payload)
 
 
