@@ -10,18 +10,22 @@ Two stages, as in WISE's pipeline:
   ("Suppose the trace input was small and WISE infers an incomplete
   CBN...") — that failure mode is the point, not a bug.
 
-Hill-climbing scores hundreds of candidate structures against the same
-rows, so the learner integer-codes the dataset once up front: every
-candidate then fits its CPTs with one ``np.add.at`` over code arrays and
-scores its log-likelihood by dense CPT gathers, instead of re-walking the
-rows in Python per candidate.
+BIC decomposes over families (a variable and its parent tuple), and one
+edge move changes at most two families, so the hill-climb never builds a
+network per candidate.  The learner integer-codes the dataset once, scores
+each family it meets once (local log-likelihood of its smoothed CPT minus
+its parameter penalty, memoised for the duration of one ``learn`` call),
+and totals a candidate as the sum of its family scores in declared
+variable order.  Acyclicity is a depth-first search over the parent
+lists.  Only the winning structure is fitted into a
+:class:`~repro.cbn.graph.BayesianNetwork`, once, at the end.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -96,71 +100,78 @@ def _validated_order(structure: Mapping[str, Sequence[str]]) -> List[str]:
     return list(nx.topological_sort(graph))
 
 
+def _family_cpt(
+    encoded: _EncodedDataset,
+    variable: str,
+    parents: Sequence[str],
+    smoothing: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Laplace-smoothed MLE CPT of *variable* given *parents*, plus each
+    row's CPT row index.
+
+    Parent-value combinations map to flat row indices in row-major
+    ``itertools.product`` order (first parent most significant), so one
+    ``np.add.at`` accumulates every count.
+    """
+    row_count = 1
+    flat = np.zeros(encoded.n, dtype=np.intp)
+    for parent in parents:
+        size = len(encoded.domains[parent])
+        row_count *= size
+        flat = flat * size + encoded.codes[parent]
+    counts = np.full(
+        (row_count, len(encoded.domains[variable])), smoothing, dtype=float
+    )
+    kernels.cpt_accumulate(counts, flat, encoded.codes[variable])
+    return counts / counts.sum(axis=1, keepdims=True), flat
+
+
 def _fit_encoded(
     encoded: _EncodedDataset,
     structure: Mapping[str, Sequence[str]],
     order: Sequence[str],
     smoothing: float,
 ) -> BayesianNetwork:
-    """MLE CPTs for *structure* from pre-encoded data.
-
-    Parent-value combinations map to flat row indices in row-major
-    ``itertools.product`` order (first parent most significant), so one
-    ``np.add.at`` accumulates every count.
-    """
+    """A network with MLE CPTs for *structure* from pre-encoded data."""
     network = BayesianNetwork()
     for variable in order:
         parents = tuple(structure[variable])
-        domain = encoded.domains[variable]
-        parent_domains = [encoded.domains[parent] for parent in parents]
-        row_count = 1
-        for parent_domain in parent_domains:
-            row_count *= len(parent_domain)
-        counts = np.full((row_count, len(domain)), smoothing, dtype=float)
-        flat = np.zeros(encoded.n, dtype=np.intp)
-        for parent, parent_domain in zip(parents, parent_domains):
-            flat = flat * len(parent_domain) + encoded.codes[parent]
-        kernels.cpt_accumulate(counts, flat, encoded.codes[variable])
-        probabilities = counts / counts.sum(axis=1, keepdims=True)
-        rows = {
-            key: probabilities[position]
-            for position, key in enumerate(itertools.product(*parent_domains))
-        }
-        network.add_variable(variable, domain, parents, rows)
+        cpt, _ = _family_cpt(encoded, variable, parents, smoothing)
+        keys = itertools.product(*(encoded.domains[p] for p in parents))
+        network.add_variable(
+            variable, encoded.domains[variable], parents, dict(zip(keys, cpt))
+        )
     return network
 
 
-def _log_likelihood_encoded(
-    encoded: _EncodedDataset, network: BayesianNetwork
+def _family_score(
+    encoded: _EncodedDataset,
+    variable: str,
+    parents: Tuple[str, ...],
+    smoothing: float,
 ) -> float:
-    """Log-likelihood from pre-encoded data (network domains must be the
-    encoded domains, as they are for networks built by :func:`_fit_encoded`)."""
-    products = np.ones(encoded.n, dtype=float)
-    for variable in network.variables:
-        flat = np.zeros(encoded.n, dtype=np.intp)
-        for parent in network.parents(variable):
-            flat = flat * len(encoded.domains[parent]) + encoded.codes[parent]
-        matrix = network.dense_rows(variable)
-        products = products * matrix[flat, encoded.codes[variable]]
-    if np.any(products <= 0):
-        return -math.inf
-    return float(np.log(products).sum())
-
-
-def _bic_penalty(network: BayesianNetwork, n: int) -> float:
-    parameters = 0
-    for variable in network.variables:
-        rows = 1
-        for parent in network.parents(variable):
-            rows *= len(network.domain(parent))
-        parameters += rows * (len(network.domain(variable)) - 1)
-    return 0.5 * parameters * math.log(n)
-
-
-def _bic_encoded(encoded: _EncodedDataset, network: BayesianNetwork) -> float:
-    return _log_likelihood_encoded(encoded, network) - _bic_penalty(
-        network, encoded.n
+    """Local BIC of one family: Σ_rows log θ[parent combination, value]
+    − ½ · combinations · (|domain| − 1) · log n, with θ the CPT
+    :func:`_fit_encoded` would build."""
+    cpt, flat = _family_cpt(encoded, variable, parents, smoothing)
+    rows, size = cpt.shape
+    return float(np.log(cpt[flat, encoded.codes[variable]]).sum()) - (
+        0.5 * rows * (size - 1) * math.log(encoded.n)
     )
+
+
+def _reaches(parents: Mapping[str, Sequence[str]], start: str, goal: str) -> bool:
+    """Whether *start* reaches *goal* along directed edges, searched
+    backwards from *goal* over the parent lists."""
+    stack, seen = [goal], {goal}
+    while stack:
+        for parent in parents[stack.pop()]:
+            if parent == start:
+                return True
+            if parent not in seen:
+                seen.add(parent)
+                stack.append(parent)
+    return False
 
 
 def fit_parameters(
@@ -206,7 +217,13 @@ def bic_score(data: Sequence[Row], network: BayesianNetwork) -> float:
     n = len(data)
     if n == 0:
         raise SimulationError("BIC of empty data is undefined")
-    return log_likelihood(data, network) - _bic_penalty(network, n)
+    parameters = 0
+    for variable in network.variables:
+        rows = 1
+        for parent in network.parents(variable):
+            rows *= len(network.domain(parent))
+        parameters += rows * (len(network.domain(variable)) - 1)
+    return log_likelihood(data, network) - 0.5 * parameters * math.log(n)
 
 
 class StructureLearner:
@@ -234,6 +251,12 @@ class StructureLearner:
     ):
         if max_parents < 1:
             raise SimulationError(f"max_parents must be >= 1, got {max_parents}")
+        if max_iterations < 0:
+            raise SimulationError(
+                f"max_iterations must be >= 0, got {max_iterations}"
+            )
+        if smoothing <= 0:
+            raise SimulationError(f"smoothing must be positive, got {smoothing}")
         self._max_parents = max_parents
         self._max_iterations = max_iterations
         self._smoothing = smoothing
@@ -248,79 +271,48 @@ class StructureLearner:
         if not data:
             raise SimulationError("cannot learn a structure from empty data")
         encoded = _EncodedDataset(data, list(variables), domains)
+        memo: Dict[Tuple[str, Tuple[str, ...]], float] = {}
+
+        def score(structure: Mapping[str, Sequence[str]]) -> float:
+            total = 0.0
+            for variable, parents in structure.items():
+                key = (variable, tuple(parents))
+                if key not in memo:
+                    memo[key] = _family_score(encoded, *key, self._smoothing)
+                total += memo[key]
+            return total
+
         structure: Dict[str, List[str]] = {v: [] for v in variables}
-        best_network = _fit_encoded(
+        best_score = score(structure)
+        for _ in range(self._max_iterations):
+            current = structure
+            for candidate in self._moves(current):
+                total = score(candidate)
+                if total > best_score + 1e-9:
+                    best_score, structure = total, candidate
+            if structure is current:
+                break
+        return _fit_encoded(
             encoded, structure, _validated_order(structure), self._smoothing
         )
-        best_score = _bic_encoded(encoded, best_network)
-        for _ in range(self._max_iterations):
-            candidate = self._best_move(encoded, structure, best_score)
-            if candidate is None:
-                break
-            structure, best_network, best_score = candidate
-        return best_network
 
-    def _best_move(
-        self,
-        encoded: _EncodedDataset,
-        structure: Dict[str, List[str]],
-        current_score: float,
-    ) -> Optional[Tuple[Dict[str, List[str]], BayesianNetwork, float]]:
-        """The highest-scoring single-edge move, or ``None``."""
-        variables = list(structure.keys())
-        best: Optional[Tuple[Dict[str, List[str]], BayesianNetwork, float]] = None
-        best_score = current_score
-        for source, target in itertools.permutations(variables, 2):
-            for move in ("add", "remove", "reverse"):
-                applied = self._apply_move(structure, source, target, move)
-                if applied is None:
-                    continue
-                candidate, order = applied
-                try:
-                    network = _fit_encoded(
-                        encoded, candidate, order, self._smoothing
-                    )
-                except SimulationError:  # noqa: REP006 - unfittable candidate
-                    # structures are legitimately pruned from the search,
-                    # not failures to surface.
-                    continue
-                score = _bic_encoded(encoded, network)
-                if score > best_score + 1e-9:
-                    best_score = score
-                    best = (candidate, network, score)
-        return best
-
-    def _apply_move(
-        self,
-        structure: Dict[str, List[str]],
-        source: str,
-        target: str,
-        move: str,
-    ) -> Optional[Tuple[Dict[str, List[str]], List[str]]]:
-        """A copy of *structure* with the move applied (plus its topological
-        order), or ``None`` if the move is inapplicable or would create a
-        cycle / exceed max parents."""
-        candidate = {v: list(ps) for v, ps in structure.items()}
-        has_edge = source in candidate[target]
-        if move == "add":
-            if has_edge or len(candidate[target]) >= self._max_parents:
-                return None
-            candidate[target].append(source)
-        elif move == "remove":
-            if not has_edge:
-                return None
-            candidate[target].remove(source)
-        elif move == "reverse":
-            if not has_edge or len(candidate[source]) >= self._max_parents:
-                return None
-            candidate[target].remove(source)
-            candidate[source].append(target)
-        else:  # pragma: no cover - internal misuse
-            raise SimulationError(f"unknown move {move!r}")
-        graph = nx.DiGraph()
-        graph.add_nodes_from(candidate)
-        for child, parents in candidate.items():
-            graph.add_edges_from((p, child) for p in parents)
-        if not nx.is_directed_acyclic_graph(graph):
-            return None
-        return candidate, list(nx.topological_sort(graph))
+    def _moves(
+        self, structure: Dict[str, List[str]]
+    ) -> Iterator[Dict[str, List[str]]]:
+        """Every legal single-edge move from *structure*, in search order:
+        ordered variable pairs, each tried as add, remove, then reverse.
+        Candidates share the untouched parent lists with *structure*."""
+        for source, target in itertools.permutations(structure, 2):
+            parents = structure[target]
+            if source not in parents:
+                if len(parents) < self._max_parents and not _reaches(
+                    structure, target, source
+                ):
+                    yield {**structure, target: parents + [source]}
+                continue
+            removed = {**structure, target: [p for p in parents if p != source]}
+            yield removed
+            if len(structure[source]) < self._max_parents and not _reaches(
+                removed, source, target
+            ):
+                yield {**removed, source: structure[source] + [target]}

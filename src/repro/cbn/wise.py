@@ -79,10 +79,6 @@ class WiseRewardModel(RewardModel):
             )
         return decision
 
-    def _bin_of(self, reward: float) -> int:
-        index = int(np.searchsorted(self._bin_edges, reward, side="right")) - 1
-        return max(0, min(index, len(self._bin_means) - 1))
-
     def _fit(self, trace: Trace) -> None:
         self._prediction_cache.clear()
         self._feature_names = trace.feature_names()

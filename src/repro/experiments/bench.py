@@ -14,7 +14,7 @@ Two layers:
 
 Results land in ``benchmark_results/BENCH_estimators.json``; CI runs the
 quick variant and fails when fig7a throughput regresses more than 25%
-against the committed numbers (see :func:`check_against_baseline`).
+against a same-job warmup run (see :func:`check_against_baseline`).
 """
 
 from __future__ import annotations

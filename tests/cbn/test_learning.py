@@ -130,3 +130,18 @@ class TestStructureLearner:
     def test_parameter_validation(self):
         with pytest.raises(SimulationError):
             StructureLearner(max_parents=0)
+
+    def test_nonpositive_smoothing_rejected(self):
+        with pytest.raises(SimulationError, match="smoothing"):
+            StructureLearner(smoothing=0)
+        with pytest.raises(SimulationError, match="smoothing"):
+            StructureLearner(smoothing=-0.5)
+
+    def test_negative_max_iterations_rejected(self):
+        with pytest.raises(SimulationError, match="max_iterations"):
+            StructureLearner(max_iterations=-1)
+
+    def test_zero_iterations_learns_empty_graph(self):
+        data = _chain_data(np.random.default_rng(1), n=200)
+        network = StructureLearner(max_iterations=0).learn(data, ["x", "y"])
+        assert network.edges() == []
