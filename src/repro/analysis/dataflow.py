@@ -38,6 +38,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.graph import (
     CONTRACT_CHECKERS,
+    POOL_FORK_FUNCTIONS,
     POOL_SUBMIT_METHODS,
     CallSite,
     FunctionInfo,
@@ -212,6 +213,8 @@ class ForkSafety(ProjectRule):
 
     def _is_pool_submission(self, call: CallSite) -> bool:
         parts = call.name.split(".")
+        if parts[-1] in POOL_FORK_FUNCTIONS:
+            return True
         if len(parts) < 2 or parts[-1] not in POOL_SUBMIT_METHODS:
             return False
         receiver = ".".join(parts[:-1]).lower()

@@ -77,9 +77,10 @@ MUTATOR_METHODS = {
     "extendleft",
 }
 
-#: Pool-submission methods whose callable argument runs in a worker
-#: process (REP011 roots).
+#: Pool-submission methods and forking functions (``fork_blocks``) whose
+#: callable argument runs in a worker process (REP011 roots).
 POOL_SUBMIT_METHODS = {"submit", "map", "imap", "imap_unordered", "apply_async", "starmap"}
+POOL_FORK_FUNCTIONS = {"fork_blocks"}
 
 
 def dotted(node: ast.AST) -> Optional[str]:

@@ -62,6 +62,10 @@ class LedgerError(ReproError):
     or a ledger written by a different experiment configuration)."""
 
 
+class WorkerError(ReproError):
+    """A forked pool worker died without answering for its block."""
+
+
 class RunTimeoutError(ReproError):
     """A per-seed experiment run exceeded its wall-clock timeout.
 

@@ -19,10 +19,7 @@ message, attempt count) instead of a bare counter — reported in
 
 from __future__ import annotations
 
-import gc
-import multiprocessing
 import pickle
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -39,7 +36,7 @@ from repro.obs.sinks import (
     render_telemetry,
     write_telemetry_file,
 )
-from repro.obs.spans import increment, recording, span
+from repro.obs.spans import span
 from repro.runtime import (
     LedgerHeader,
     RetryPolicy,
@@ -49,6 +46,7 @@ from repro.runtime import (
     execute_run,
 )
 from repro.runtime.pool import _block_partition, _effective_workers, _fork_available
+from repro.runtime.pool import fork_blocks
 
 # A per-seed experiment: rng -> {estimator label: relative error}, or a
 # RunOutcome when the run wants to report degradations/quarantines too.
@@ -183,41 +181,25 @@ class ExperimentResult:
 
 
 # The run functions handed to run_repeated are usually closures over
-# scenario objects, which cannot be pickled through a process pool's task
-# queue.  With the ``fork`` start method the workers inherit the parent's
-# memory instead: the context is parked here immediately before the pool
-# is created, each forked worker snapshots it, and tasks carry only
-# ``(index, seed)``.
-_WORKER_CONTEXT: Optional[Tuple[RunFunction, Optional[RetryPolicy]]] = None
+# scenario objects, which cannot be pickled to a worker.  Forked workers
+# inherit the parent's memory instead: the context is parked here
+# immediately before the fork, and a block carries only seed indices.
+_WORKER_CONTEXT: Optional[Tuple[RunFunction, Optional[RetryPolicy], List[int]]] = None
 
 
-def _run_block(indices: Sequence[int], seed_values: Sequence[int]) -> bytes:
-    """Execute one contiguous block of seeds inside a pool worker.
+def _run_block(indices: Sequence[int]) -> bytes:
+    """Execute one contiguous block of seeds, in the caller or a forked
+    child.
 
-    The block's run records travel back pickled here, so the parent
-    counts the result-pipe bytes without pickling them a second time.
-
-    Pool workers execute tasks on their process's main thread, so the
-    retry policy's SIGALRM deadline stays enforceable here.  The garbage
-    collector is paused for the block: the worker is a short-lived
-    bulk-allocation process whose memory dies with it, and collector
-    passes were one of the two measured causes of parallel-below-
-    sequential throughput on saturated hosts (the other being CPU
-    oversubscription, handled by the affinity cap).
+    The block's run records travel back pickled here, so the pool counts
+    a child's result-pipe bytes without pickling them a second time.
+    Blocks run on their process's main thread, so the retry policy's
+    SIGALRM deadline stays enforceable here.
     """
-    run, retry = _WORKER_CONTEXT
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return pickle.dumps(
-            [
-                execute_run(run, index, seed_value, retry=retry)
-                for index, seed_value in zip(indices, seed_values)
-            ]
-        )
-    finally:
-        if was_enabled:
-            gc.enable()
+    run, retry, seed_values = _WORKER_CONTEXT
+    return pickle.dumps(
+        [execute_run(run, index, seed_values[index], retry=retry) for index in indices]
+    )
 
 
 def _journaled(record: RunRecord) -> RunRecord:
@@ -248,54 +230,23 @@ def _run_parallel(
     workers: int,
     ledger: Optional[RunLedger],
 ) -> Dict[int, RunRecord]:
-    """Execute the *pending* seed indices on a fork-based process pool.
+    """Execute the *pending* seed indices as one contiguous block per worker.
 
-    Ledger records are appended strictly in index order through a reorder
-    buffer, so the journal is byte-identical to a sequential sweep's; a
-    crash loses any out-of-order completions past the first gap, and a
-    resume re-runs them.
+    Blocks arrive in block order, which is index order, so ledger
+    records are appended as a sequential sweep appends them; a crash
+    loses the blocks not yet appended, and a resume re-runs them.
     """
     global _WORKER_CONTEXT
     finished: Dict[int, RunRecord] = {}
-    effective = _effective_workers(workers, len(pending))
-    blocks = _block_partition(pending, effective)
-    done_blocks: Dict[int, List[RunRecord]] = {}
-    next_block = 0
-    _WORKER_CONTEXT = (run, retry)
+    blocks = _block_partition(pending, _effective_workers(workers, len(pending)))
+    _WORKER_CONTEXT = (run, retry, seed_values)
     try:
-        with span("harness.pool", workers=effective), ProcessPoolExecutor(
-            max_workers=effective,
-            mp_context=multiprocessing.get_context("fork"),
-        ) as pool:
-            futures = {
-                pool.submit(
-                    _run_block, block, [seed_values[index] for index in block]
-                ): position
-                for position, block in enumerate(blocks)
-            }
-            try:
-                for future in as_completed(futures):
-                    position = futures[future]
-                    payload = future.result()
-                    if recording():
-                        # Result-pipe payload size; the task payload is a
-                        # fixed few bytes of (index, seed) ints per block.
-                        increment("harness.pool.ipc.bytes", float(len(payload)))
-                    block_records = pickle.loads(payload)
-                    done_blocks[position] = block_records
-                    for index, record in zip(blocks[position], block_records):
-                        finished[index] = record
-                    # Blocks are contiguous slices of the ascending pending
-                    # list, so draining them in block order is index order.
-                    while next_block < len(blocks) and next_block in done_blocks:
-                        if ledger is not None:
-                            for record in done_blocks[next_block]:
-                                ledger.append(_journaled(record))
-                        next_block += 1
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
+        with span("harness.pool", workers=len(blocks)):
+            for payload, block in zip(fork_blocks(_run_block, blocks), blocks):
+                for index, record in zip(block, pickle.loads(payload)):
+                    finished[index] = record
+                    if ledger is not None:
+                        ledger.append(_journaled(record))
     finally:
         _WORKER_CONTEXT = None
     return finished
@@ -343,14 +294,14 @@ def run_repeated(
         Number of seeds to execute concurrently.  The seed stream, the
         aggregated result, and any ledger are identical to a sequential
         sweep: seeds are derived up front, ledger records are written in
-        index order (a crash may therefore lose out-of-order completions,
-        which a resume simply re-runs), and aggregation happens in index
-        order.  The pool is capped at the CPUs this process's affinity
-        mask allows (oversubscription only adds context switches), and
-        pending seeds are dispatched as one contiguous block per worker
-        so dispatch and result pickling are paid per block, not per
-        seed.  Falls back to sequential execution where the ``fork``
-        start method is unavailable (run closures cannot be pickled).
+        index order (a crash may therefore lose blocks finished behind
+        an unfinished one, which a resume simply re-runs), and
+        aggregation happens in index order.  The worker count is capped
+        at the CPUs this process's affinity mask allows, and pending
+        seeds split into one contiguous block per worker: the caller
+        runs the first and forks a child for each of the others.  Falls
+        back to sequential execution where the ``fork`` start method is
+        unavailable (run closures cannot be pickled).
         Run closures may capture a :class:`~repro.store.ShardedTrace`:
         the reader keeps no open file handles and drops its decoded-shard
         cache across pickle/fork boundaries, so each worker re-reads the

@@ -36,14 +36,15 @@ from repro.errors import TelemetryError
 #: from deterministic snapshots, like canonicalised ledger durations).
 TIMING_SUFFIXES = ("duration", "seconds", "wall", "cpu")
 
-#: Dotted-name prefixes of **environment metrics** — values that record
-#: *how* the run executed (how many bytes crossed the pool's result
-#: pipe, HTTP transport counts) rather than *what* the seeded experiment
-#: computed.  Like timing metrics they are excluded from deterministic
-#: snapshots: the same sweep must journal byte-identical telemetry
-#: whether it ran in one process or a pool.
+#: Dotted-name prefixes of **environment metrics**: *how* the run
+#: executed (pool pipe bytes, why a parallel stream ran in one process,
+#: HTTP transport counts), not *what* the seeded experiment computed.
+#: Like timing metrics they are excluded from deterministic snapshots:
+#: the same sweep must journal byte-identical telemetry whether it ran
+#: in one process or a pool.
 ENVIRONMENT_PREFIXES = (
     "harness.pool.ipc",
+    "ope.stream.sequential",
     "serve.http",
     "live.ingest.rate",
 )

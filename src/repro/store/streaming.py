@@ -50,11 +50,9 @@ front, against the sharded trace's manifest-backed
 from __future__ import annotations
 
 import mmap
-import multiprocessing
 import os
 import pickle
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -73,8 +71,9 @@ from repro.core.propensity import (
 )
 from repro.core.types import TraceColumns
 from repro.errors import EstimatorError, StoreError
-from repro.obs.spans import increment, observe, recording, span
+from repro.obs.spans import increment, observe, span
 from repro.runtime.pool import _block_partition, _effective_workers, _fork_available
+from repro.runtime.pool import fork_blocks
 
 #: Environment override for the default stream worker count, honoured
 #: whenever ``stream_estimate`` is reached without an explicit
@@ -84,7 +83,7 @@ STREAM_WORKERS_VAR = "REPRO_STREAM_WORKERS"
 
 def _allocate(size: int, dtype, shared: bool) -> np.ndarray:
     """An uninitialised array; with *shared*, an anonymous shared mapping
-    that a pool forked afterwards writes into in place."""
+    that children forked afterwards write into in place."""
     dtype = np.dtype(dtype)
     if not shared:
         return np.empty(size, dtype=dtype)
@@ -106,10 +105,10 @@ class ColumnGather:
     entry per record and keep the first chunk's column set, and writes
     them at the chunk's cursor.  :meth:`finalize` reduces a prefix once.
 
-    With ``shared=True`` every buffer is an anonymous shared mapping.  A
-    pool forked after the first :meth:`add` inherits the mappings, so
-    its workers write their disjoint spans straight into the parent's
-    arrays: no segment name to unlink, nothing to copy back.
+    With ``shared=True`` every buffer is an anonymous shared mapping.
+    Children forked after the first :meth:`add` inherit the mappings, so
+    they write their disjoint spans straight into the parent's arrays:
+    no segment name to unlink, nothing to copy back.
     """
 
     def __init__(self, estimator, capacity: int, shared: bool = False):
@@ -329,18 +328,19 @@ class _Tally:
             increment("ope.stream.chunks")
 
 
-# Worker context for the parallel pool, inherited over fork (estimators
-# carry fitted models the task queue could not cheaply pickle, and the
-# gathers carry the shared buffers): (pass, store, plan, cursors).
+# Context of the parallel stream's blocks, inherited over fork (estimators
+# carry fitted models a pipe could not cheaply pickle, and the gathers
+# carry the shared buffers): (pass, store, plan, cursors).
 _STREAM_CONTEXT: Optional[Tuple] = None
 
 
 def _stream_block(positions: List[int]) -> bytes:
-    """Score one contiguous block of planned chunks in a pool worker.
+    """Score one contiguous block of planned chunks, in the caller or a
+    forked child.
 
-    Columns land in the fork-inherited shared buffers; the block's
-    tally travels back pickled here, so the parent counts its bytes
-    without pickling it again.
+    Columns land in the shared buffers; the block's tally travels back
+    pickled here, so the pool counts a child's bytes without pickling
+    them again.
     """
     from repro.store.sharded import ShardChunk
 
@@ -351,8 +351,27 @@ def _stream_block(positions: List[int]) -> bytes:
     return pickle.dumps(tally)
 
 
+def _forks(trace, workers: int) -> bool:
+    """Whether a pass over *trace* forks for *workers*.  A pass asked to
+    fork that cannot counts why as ``ope.stream.sequential.<reason>``."""
+    if workers < 2:
+        return False
+    # The caller scores the first planned chunk before it forks.
+    rest = len(trace.plan_chunks()) - 1 if hasattr(trace, "plan_chunks") else 0
+    for reason, applies in (
+        ("no-fork", not _fork_available()),
+        ("quarantine", getattr(trace, "on_corruption", None) != "raise"),
+        ("one-chunk", rest < 2),
+        ("one-cpu", _effective_workers(workers, rest) < 2),
+    ):
+        if applies:
+            increment(f"ope.stream.sequential.{reason}")
+            return False
+    return True
+
+
 class PanelPass:
-    """One read, one fit and one fork pool for a panel of estimators.
+    """One read and one fit for a panel of estimators, forked at most once.
 
     Inside ``with PanelPass(...):`` the pass answers every
     :func:`stream_estimate` call for one of its *estimators* and, with
@@ -494,14 +513,7 @@ class PanelPass:
             for index in range(len(self.members)):
                 failures.setdefault(index, failure)
             workers = 1
-        parallel = (
-            workers > 1
-            and n > 0
-            and _fork_available()
-            and hasattr(trace, "plan_chunks")
-            and getattr(trace, "on_corruption", None) == "raise"
-            and len(trace.plan_chunks()) > 1
-        )
+        parallel = _forks(trace, workers)
         self._gathers = [ColumnGather(m, n, shared=parallel) for m in self.members]
         if self.overlap:
             self._old = _allocate(n, float, parallel)
@@ -527,14 +539,16 @@ class PanelPass:
         self._quarantined = reconcile_shortfall(trace, self._length)
 
     def _stream_parallel(self, workers: int) -> None:
-        """Fan the planned chunk spans over one fork pool.
+        """Fan the planned chunk spans over the caller and forked children.
 
         Bit-identity holds by the same argument as the sequential loop:
         chunk spans, absolute cursors, and therefore every gathered
         float64 entry are identical — only *which process* computes each
-        span changes.  The parent scores the first chunk itself, which
-        fixes each gather's column set and allocates its shared buffers
-        before the fork; block tallies then merge in chunk order, so
+        span changes.  The parent scores chunk 0, which fixes each
+        gather's column set and allocates its shared buffers, before it
+        forks; it then scores the first block of the chunks after it
+        (the larger, if uneven: a child starts a fork later) while the
+        children score theirs.  Block tallies merge in chunk order, so
         first failures and the replayed chunk telemetry
         (``store.chunk.records``, ``ope.stream.chunks``) match the
         sequential loop.
@@ -556,20 +570,12 @@ class PanelPass:
         self._tally.merge(first)
         if not self._live():
             return
-        pending = list(range(1, len(plan)))
-        effective = _effective_workers(workers, len(pending))
+        rest = range(1, len(plan))
+        blocks = _block_partition(rest, _effective_workers(workers, len(rest)))
         _STREAM_CONTEXT = (self, store, plan, cursors)
         try:
-            with ProcessPoolExecutor(
-                max_workers=effective,
-                mp_context=multiprocessing.get_context("fork"),
-            ) as pool:
-                # Results arrive in block order (= chunk order).
-                blocks = _block_partition(pending, effective)
-                for payload in pool.map(_stream_block, blocks):
-                    if recording():
-                        increment("harness.pool.ipc.bytes", float(len(payload)))
-                    self._tally.merge(pickle.loads(payload))
+            for payload in fork_blocks(_stream_block, blocks):
+                self._tally.merge(pickle.loads(payload))
         finally:
             _STREAM_CONTEXT = None
 
@@ -601,11 +607,12 @@ def stream_estimate(
 
     Parallelism: with ``workers > 1`` (or ``REPRO_STREAM_WORKERS`` set,
     for calls routed through ``estimate()``), the manifest's planned
-    chunk spans fan over a fork pool writing into shared buffers (see
-    :meth:`PanelPass._stream_parallel`).  It needs the ``fork`` start
-    method, a trace exposing ``plan_chunks`` and
-    ``on_corruption == "raise"``; anything else silently streams
-    sequentially.
+    chunk spans fan over the caller and forked children writing into
+    shared buffers (see :meth:`PanelPass._stream_parallel`).  Otherwise
+    it streams in one process and counts why as
+    ``ope.stream.sequential.<reason>``: ``no-fork``, ``quarantine``
+    (``on_corruption`` is not ``"raise"``), ``one-chunk`` (at most one
+    chunk after the first) or ``one-cpu``.
 
     Raises
     ------

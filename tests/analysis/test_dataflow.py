@@ -5,6 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.analysis import lint_paths
+from repro.analysis.dataflow import ForkSafety
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DATAFLOW = FIXTURES / "dataflow"
@@ -53,6 +54,35 @@ class TestRep011ForkSafety:
 
     def test_pid_guarded_reinit_is_sanctioned(self):
         assert findings(DATAFLOW / "rep011_good.py", ["REP011"]) == ()
+
+    def test_fork_blocks_worker_is_a_root(self):
+        found = findings(DATAFLOW / "rep011_fork_bad.py", ["REP011"])
+        assert [(v.rule_id, v.line) for v in found] == [
+            ("REP011", 10),
+            ("REP011", 17),
+        ]
+        messages = "\n".join(v.message for v in found)
+        assert "mutates module-level '_SEEN'" in messages
+        assert "lambda" in messages and "fork_blocks(...)" in messages
+
+    def test_pure_fork_blocks_worker_is_clean(self):
+        assert findings(DATAFLOW / "rep011_fork_good.py", ["REP011"]) == ()
+
+    def test_shipped_fork_pool_workers_are_roots(self, monkeypatch):
+        roots = set()
+        resolve = ForkSafety._worker_roots
+
+        def recorded(self, *args):
+            found = resolve(self, *args)
+            roots.update(found)
+            return found
+
+        monkeypatch.setattr(ForkSafety, "_worker_roots", recorded)
+        src = Path(__file__).parents[2] / "src" / "repro"
+        assert lint_paths([str(src)], ["REP011"]).ok
+        names = {root.replace("\\", "/") for root in roots}
+        assert any(n.endswith("store/streaming.py::_stream_block") for n in names)
+        assert any(n.endswith("experiments/harness.py::_run_block") for n in names)
 
     def test_mutation_without_pool_path_not_flagged(self):
         # Module mutation alone (REP010 helpers write nothing; use the

@@ -158,18 +158,27 @@ class TestOnePass:
         assert report.to_json() == dense.to_json()
 
     @pytest.mark.skipif(not _fork_available(), reason="fork start method unavailable")
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
     def test_one_fork_pool(self, shard_dir, new_policy, monkeypatch):
-        pools = []
+        calls, forks = [], []
+        fork_blocks, fork = streaming.fork_blocks, os.fork
 
-        class CountedPool(streaming.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
+        def counted_blocks(work, blocks):
+            calls.append(len(blocks))
+            return fork_blocks(work, blocks)
 
-        monkeypatch.setattr(streaming, "ProcessPoolExecutor", CountedPool)
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(streaming, "fork_blocks", counted_blocks)
+        monkeypatch.setattr(os, "fork", counted_fork)
         monkeypatch.setenv(streaming.STREAM_WORKERS_VAR, "2")
         report = api.compare(_sharded(shard_dir), new_policy)
-        assert len(pools) == 1
+        monkeypatch.undo()
+        assert calls == [2] and len(forks) == 1
         assert report.to_json() == api.compare(_dense(shard_dir), new_policy).to_json()
 
     def test_policy_work_is_shared_per_chunk(self, shard_dir, new_policy):
