@@ -165,30 +165,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     bench_parser.add_argument(
-        "--serve",
-        action="store_true",
-        help=(
-            "load-test the evaluation service instead: boot a server on a "
-            "synthetic sharded trace, replay concurrent policy queries, "
-            "write p50/p99 latency + throughput to "
-            "benchmark_results/BENCH_serve.json"
-        ),
-    )
-    bench_parser.add_argument(
-        "--queries",
-        type=int,
-        default=2000,
-        metavar="N",
-        help="(--serve) total queries to replay (default 2000)",
-    )
-    bench_parser.add_argument(
-        "--concurrency",
-        type=int,
-        default=50,
-        metavar="N",
-        help="(--serve) concurrent client workers (default 50)",
-    )
-    bench_parser.add_argument(
         "--parallel-tolerance",
         type=float,
         default=0.05,
@@ -824,9 +800,6 @@ def _run_bench(arguments) -> int:
     """Run the throughput benchmark; exit 1 on a --check regression."""
     from pathlib import Path
 
-    if arguments.serve:
-        return _run_serve_bench(arguments)
-
     from repro.experiments.bench import (
         DEFAULT_OUTPUT,
         check_against_baseline,
@@ -883,50 +856,6 @@ def _run_bench(arguments) -> int:
             f"throughput within {arguments.tolerance:.0%} of the baseline "
             f"in {arguments.check}"
         )
-    return 0
-
-
-def _run_serve_bench(arguments) -> int:
-    """Load-test the evaluation service; exit 1 if a self-check fails."""
-    from pathlib import Path
-
-    from repro.errors import ServeError
-    from repro.serve.bench import DEFAULT_OUTPUT, run_serve_benchmark
-
-    output = Path(arguments.output) if arguments.output else DEFAULT_OUTPUT
-    started = time.time()
-    try:
-        result = run_serve_benchmark(
-            queries=arguments.queries,
-            concurrency=arguments.concurrency,
-            seed=arguments.seed,
-            quick=arguments.quick,
-            output=output,
-        )
-    except ServeError as error:
-        print(f"repro bench --serve: error: {error}", file=sys.stderr)
-        return 1
-    latency = result["latency_ms"]
-    cache = result["cache"]
-    print(
-        f"serve: {result['queries']} queries x {result['concurrency']} "
-        f"workers over {result['distinct_requests']} distinct requests"
-    )
-    print(
-        f"  latency p50 {latency['p50']:.1f} ms, p99 {latency['p99']:.1f} ms, "
-        f"max {latency['max']:.1f} ms"
-    )
-    print(
-        f"  throughput {result['throughput_qps']:.1f} q/s "
-        f"({result['elapsed_seconds']:.1f}s elapsed; "
-        f"{result['warmup_seconds']:.1f}s cold-start warmup)"
-    )
-    print(
-        f"  cache: {cache['hits']} hits, {cache['coalesced']} coalesced, "
-        f"{cache['computed']} computed "
-        f"(hit fraction {cache['hit_fraction']:.0%})"
-    )
-    print(f"wrote {output} ({time.time() - started:.1f}s)")
     return 0
 
 

@@ -136,11 +136,11 @@ def number(value: Any) -> float:
     return float(value)
 
 
-def mapping(value: Any) -> Dict[str, Any]:
-    """A string-keyed mapping, copied into a ``dict``."""
+def mapping(value: Any, item: Callable[[Any], Any] = anything) -> Dict[str, Any]:
+    """A string-keyed mapping whose every value passes *item*, as a ``dict``."""
     if not isinstance(value, Mapping) or not all(isinstance(key, str) for key in value):
         raise ValueError(f"must be a string-keyed mapping, got {type(value).__name__}")
-    return dict(value)
+    return {key: item(entry) for key, entry in value.items()}
 
 
 def one_of(*choices: Any) -> Callable[[Any], Any]:

@@ -46,7 +46,7 @@ from repro.runtime import (
     execute_run,
 )
 from repro.runtime.pool import _block_partition, _effective_workers, _fork_available
-from repro.runtime.pool import fork_blocks
+from repro.runtime.pool import fork_blocks, forks
 
 # A per-seed experiment: rng -> {estimator label: relative error}, or a
 # RunOutcome when the run wants to report degradations/quarantines too.
@@ -301,7 +301,10 @@ def run_repeated(
         seeds split into one contiguous block per worker: the caller
         runs the first and forks a child for each of the others.  Falls
         back to sequential execution where the ``fork`` start method is
-        unavailable (run closures cannot be pickled).
+        unavailable (run closures cannot be pickled), with at most one
+        pending seed, or on one CPU, counting why as
+        ``harness.sequential.<reason>`` (``no-fork``, ``one-run``,
+        ``one-cpu``).
         Run closures may capture a :class:`~repro.store.ShardedTrace`:
         the reader keeps no open file handles and drops its decoded-shard
         cache across pickle/fork boundaries, so each worker re-reads the
@@ -344,7 +347,14 @@ def run_repeated(
     records: List[RunRecord] = []
     try:
         with span("harness.sweep", experiment=name):
-            if workers == 1 or len(pending) <= 1 or not _fork_available():
+            if workers == 1 or not forks(
+                "harness.sequential",
+                (
+                    ("no-fork", not _fork_available()),
+                    ("one-run", len(pending) <= 1),
+                    ("one-cpu", _effective_workers(workers, len(pending)) < 2),
+                ),
+            ):
                 for index in range(runs):
                     seed_value = seed_values[index]
                     if index in completed:

@@ -37,13 +37,14 @@ from repro.errors import TelemetryError
 TIMING_SUFFIXES = ("duration", "seconds", "wall", "cpu")
 
 #: Dotted-name prefixes of **environment metrics**: *how* the run
-#: executed (pool pipe bytes, why a parallel stream ran in one process,
+#: executed (pool pipe bytes, why a parallel sweep or stream ran in one process,
 #: HTTP transport counts), not *what* the seeded experiment computed.
 #: Like timing metrics they are excluded from deterministic snapshots:
 #: the same sweep must journal byte-identical telemetry whether it ran
 #: in one process or a pool.
 ENVIRONMENT_PREFIXES = (
     "harness.pool.ipc",
+    "harness.sequential",
     "ope.stream.sequential",
     "serve.http",
     "live.ingest.rate",

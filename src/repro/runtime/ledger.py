@@ -29,11 +29,21 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
+from repro.core import schema
 from repro.errors import LedgerError
 from repro.runtime.records import RunRecord
 
 LEDGER_KIND = "repro-run-ledger"
 LEDGER_VERSION = 1
+
+_HEADER_FIELDS = (
+    schema.Field("kind", schema.one_of(LEDGER_KIND)),
+    schema.Field("version", schema.one_of(LEDGER_VERSION)),
+    schema.Field("experiment", schema.text),
+    schema.Field("root_seed", schema.integer),
+    schema.Field("runs", schema.count),
+    schema.Field("retry", schema.mapping, None),
+)
 
 
 @dataclass(frozen=True)
@@ -57,23 +67,13 @@ class LedgerHeader:
         }
 
     @classmethod
-    def from_json(cls, payload: Dict[str, Any], where: str) -> "LedgerHeader":
+    def from_json(cls, payload: Any, where: str) -> "LedgerHeader":
         """Parse and validate a header line."""
-        if payload.get("kind") != LEDGER_KIND:
-            raise LedgerError(f"{where}: not a run ledger (kind={payload.get('kind')!r})")
-        if payload.get("version") != LEDGER_VERSION:
-            raise LedgerError(
-                f"{where}: unsupported ledger version {payload.get('version')!r}"
-            )
-        try:
-            return cls(
-                experiment=str(payload["experiment"]),
-                root_seed=int(payload["root_seed"]),
-                runs=int(payload["runs"]),
-                retry=payload.get("retry"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LedgerError(f"{where}: malformed ledger header: {exc}") from exc
+        values = schema.read(
+            payload, _HEADER_FIELDS, f"{where}: not a run ledger header", LedgerError
+        )
+        del values["kind"], values["version"]
+        return cls(**values)
 
 
 class RunLedger:

@@ -12,7 +12,7 @@ import gc
 import os
 import pickle
 import signal
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import WorkerError
 from repro.obs.spans import increment
@@ -37,6 +37,17 @@ def _effective_workers(workers: int, tasks: int) -> int:
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         cpus = os.cpu_count() or 1
     return max(1, min(workers, tasks, cpus))
+
+
+def forks(counter: str, reasons: Iterable[Tuple[str, bool]]) -> bool:
+    """Whether work asked to fork does: ``False`` for the first of the
+    ``(reason, applies)`` *reasons* that applies, counted once as
+    ``<counter>.<reason>``; ``True`` when none applies."""
+    for reason, applies in reasons:
+        if applies:
+            increment(f"{counter}.{reason}")
+            return False
+    return True
 
 
 def _block_partition(pending: Sequence[int], count: int) -> List[List[int]]:

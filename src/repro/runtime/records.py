@@ -19,11 +19,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Union
 
+from repro.core import schema
 from repro.errors import LedgerError
 
 #: Status of a completed per-seed run.
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
+
+_RECORD_FIELDS = (
+    schema.Field("index", schema.count),
+    schema.Field("seed", schema.integer),
+    schema.Field("status", schema.one_of(STATUS_OK, STATUS_FAILED)),
+    schema.Field("attempts", schema.count),
+    schema.Field("duration", schema.number),
+    schema.Field("errors", lambda value: schema.mapping(value, schema.number)),
+    schema.Field("error_type", schema.text, None),
+    schema.Field("error_message", schema.text, None),
+    schema.Field("degradations", lambda value: schema.mapping(value, schema.text), None),
+    schema.Field("quarantined", lambda value: schema.mapping(value, schema.count), None),
+    schema.Field("telemetry", schema.mapping, None),
+)
 
 
 @dataclass(frozen=True)
@@ -136,29 +151,10 @@ class RunRecord:
         return payload
 
     @classmethod
-    def from_json(cls, payload: Mapping[str, Any], where: str = "ledger") -> "RunRecord":
-        """Inverse of :meth:`to_json`; raises :class:`LedgerError` on a
-        malformed record."""
-        try:
-            record = cls(
-                index=int(payload["index"]),
-                seed=int(payload["seed"]),
-                status=str(payload["status"]),
-                attempts=int(payload["attempts"]),
-                duration=float(payload["duration"]),
-                errors={str(k): float(v) for k, v in payload["errors"].items()},
-                error_type=payload.get("error_type"),
-                error_message=payload.get("error_message"),
-                degradations=dict(payload.get("degradations", {})),
-                quarantined={
-                    str(k): int(v) for k, v in payload.get("quarantined", {}).items()
-                },
-                telemetry=payload.get("telemetry"),
-            )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise LedgerError(f"{where}: malformed run record: {exc}") from exc
-        if record.status not in (STATUS_OK, STATUS_FAILED):
-            raise LedgerError(
-                f"{where}: run record has unknown status {record.status!r}"
-            )
-        return record
+    def from_json(cls, payload: Any, where: str = "ledger") -> "RunRecord":
+        """Inverse of :meth:`to_json`; a bad field is a :class:`LedgerError`."""
+        values = schema.read(
+            payload, _RECORD_FIELDS, f"{where}: malformed run record", LedgerError
+        )
+        # An absent optional field keeps the dataclass default (a fresh dict).
+        return cls(**{key: value for key, value in values.items() if value is not None})

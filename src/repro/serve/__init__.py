@@ -26,11 +26,13 @@ Layers, bottom up:
   endpoints (responses are bit-identical to direct :mod:`repro.api`
   calls — pinned by tests);
 * :mod:`repro.serve.server` — the asyncio connection loop plus a
-  background-thread harness for tests and benchmarks;
+  background-thread harness for tests and perfbench;
 * :mod:`repro.serve.client` — a small stdlib client;
 * :mod:`repro.serve.validate` — the response-payload schema checker
-  (``python -m repro.serve.validate``);
-* :mod:`repro.serve.bench` — the ``repro bench --serve`` load harness.
+  (``python -m repro.serve.validate``).
+
+The load measurement lives outside the package: perfbench's
+``serve-hot`` workload drives a server from a separate client process.
 
 DESIGN.md §13 documents the request model, fingerprinting, and
 cache-key derivation.

@@ -9,7 +9,7 @@ Three entry points, one per audience:
   runs until interrupted;
 * :class:`BackgroundServer` — a context-manager harness that runs the
   whole server on a daemon thread with an ephemeral port, for tests and
-  the ``repro bench --serve`` load harness (client code stays fully
+  perfbench's ``serve-hot`` workload (client code stays fully
   synchronous).
 
 Connections are keep-alive HTTP/1.1: one reader task per connection,
@@ -161,7 +161,7 @@ def run_server(
 
 
 class BackgroundServer:
-    """Run a full server on a daemon thread (tests and ``bench --serve``).
+    """Run a full server on a daemon thread (tests and perfbench serve-hot).
 
     Binds an ephemeral port by default; :attr:`address` blocks until the
     socket is listening.  Use as a context manager::

@@ -261,13 +261,14 @@ def verify_store(
     """Eagerly verify every shard of a sharded-trace directory.
 
     Checks, per shard: the file exists, its size and sha256 match the
-    manifest, and — with ``decode=True`` — that the npz
-    payload decodes with array lengths matching the manifest's record
-    count.  Nothing raises for corruption; every finding lands in the
+    manifest, and — with ``decode=True`` — that the reader's own
+    decoder (:func:`~repro.store.sharded.decode_shard`) accepts it.
+    Nothing raises for corruption; every finding lands in the
     returned :class:`StoreVerifyReport` so one bad shard never hides
     the state of the others.
     """
     from repro.store.format import load_manifest
+    from repro.store.sharded import decode_shard
 
     directory = Path(directory)
     try:
@@ -281,6 +282,7 @@ def verify_store(
             shards=(),
             manifest_error=str(exc),
         )
+    feature_names = tuple(sorted(manifest["schema"]["features"]))
     results = []
     for index, entry in enumerate(manifest["shards"]):
         path = directory / entry["file"]
@@ -290,7 +292,7 @@ def verify_store(
             data = read_shard_with_retry(path, retry=retry, seed=index)
             check_shard_bytes(path, data, entry)
             if decode:
-                _decode_check(path, data, entry)
+                decode_shard(path, data, entry, feature_names)
         except ShardCorruptionError as exc:
             kind, detail = exc.kind, str(exc)
         results.append(
@@ -307,39 +309,6 @@ def verify_store(
         version=int(manifest["version"]),
         shards=tuple(results),
     )
-
-
-def _decode_check(path: Path, data: bytes, entry: Dict[str, object]) -> None:
-    """Full-decode verification of one shard's bytes (lengths included)."""
-    import io
-
-    import numpy as np
-
-    try:
-        with np.load(io.BytesIO(data), allow_pickle=False) as npz:
-            lengths = {
-                len(npz[key])
-                for key in (
-                    "rewards",
-                    "propensities",
-                    "timestamps",
-                    "decision_codes",
-                    "state_codes",
-                )
-            }
-            for position in range(len(entry.get("feature_kinds", ()))):
-                lengths.add(len(npz[f"feature_{position}"]))
-    except ShardCorruptionError:
-        raise
-    except Exception as exc:
-        raise classify_decode_failure(path, exc) from exc
-    count = int(entry["records"])
-    if lengths != {count}:
-        raise ShardTruncatedError(
-            f"{path}: array lengths {sorted(lengths)} disagree with the "
-            f"manifest's {count} records",
-            shard=str(path),
-        )
 
 
 # -- quarantine accounting for degraded reads --------------------------------

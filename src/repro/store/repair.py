@@ -33,11 +33,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.errors import ShardCorruptionError, StoreError
 from repro.ioutil import atomic_write_bytes, atomic_write_text, fsync_directory
 from repro.obs.spans import span
-from repro.store.integrity import (
-    _decode_check,
-    check_shard_bytes,
-    read_shard_with_retry,
-)
+from repro.store.integrity import check_shard_bytes, read_shard_with_retry
+from repro.store.sharded import decode_shard
 
 #: Fields a journal entry / manifest shard entry must carry to be usable.
 _ENTRY_FIELDS = ("file", "records", "bytes", "sha256", "feature_kinds")
@@ -165,14 +162,18 @@ def repair_store(
 
 
 def _verify_entry(
-    directory: Path, index: int, entry: Dict[str, Any], retry
+    directory: Path,
+    index: int,
+    entry: Dict[str, Any],
+    feature_names: Tuple[str, ...],
+    retry,
 ) -> Optional[ShardCorruptionError]:
     """Fully verify one shard against its entry; ``None`` when clean."""
     path = directory / entry["file"]
     try:
         data = read_shard_with_retry(path, retry=retry, seed=index)
         check_shard_bytes(path, data, entry)
-        _decode_check(path, data, entry)
+        decode_shard(path, data, entry, feature_names)
     except ShardCorruptionError as exc:
         return exc
     return None
@@ -194,7 +195,7 @@ def _repair_from_manifest(
     source_reader = _SourceReader(source, feature_names) if source else None
     for index, entry in enumerate(manifest["shards"]):
         count = int(entry["records"])
-        failure = _verify_entry(directory, index, entry, retry)
+        failure = _verify_entry(directory, index, entry, feature_names, retry)
         if failure is None:
             entries.append(entry)
             report.kept.append(str(entry["file"]))
@@ -239,6 +240,7 @@ def _recover_from_journal(
             f"{journal_path}: not a shard journal (kind={header.get('kind')!r})"
         )
     features = list(header.get("schema", {}).get("features", []))
+    feature_names = tuple(sorted(features))
     shard_size = int(header.get("requested_shard_size", 0)) or None
     report = RepairReport(directory=str(directory), mode="journal")
     entries: List[Dict[str, Any]] = []
@@ -253,7 +255,7 @@ def _recover_from_journal(
         if not all(key in entry for key in _ENTRY_FIELDS):
             break
         index = len(entries)
-        failure = _verify_entry(directory, index, entry, retry)
+        failure = _verify_entry(directory, index, entry, feature_names, retry)
         if failure is None:
             entries.append(entry)
             report.kept.append(str(entry["file"]))

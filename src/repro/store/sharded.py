@@ -90,6 +90,121 @@ class _ShardColumns:
         self.states = states
 
 
+def decode_shard(
+    path: Path, raw: bytes, entry: Dict[str, Any], feature_names: Tuple[str, ...]
+) -> _ShardColumns:
+    """Decode one shard's already-verified bytes into columns.
+
+    The one decoder: every read and ``repro verify`` / ``repro repair``
+    go through it, so a shard those commands pass is one the reader
+    accepts.  Every failure — an unreadable npz, array lengths that
+    disagree with the manifest, a bad vocab blob or a code outside its
+    vocabulary — raises a classified
+    :class:`~repro.errors.ShardCorruptionError`.
+    """
+    try:
+        with np.load(io.BytesIO(raw), allow_pickle=False) as data:
+            rewards = data["rewards"]
+            propensities = data["propensities"]
+            timestamps = data["timestamps"]
+            decision_codes = data["decision_codes"]
+            decision_vocab = str(data["decision_vocab"][()])
+            state_codes = data["state_codes"]
+            state_vocab = str(data["state_vocab"][()])
+            raw_features = []
+            for position, kind in enumerate(entry["feature_kinds"]):
+                array = data[f"feature_{position}"]
+                vocab = None
+                if kind == "coded":
+                    vocab = str(data[f"feature_{position}_vocab"][()])
+                raw_features.append((kind, array, vocab))
+    except Exception as exc:
+        raise classify_decode_failure(path, exc) from exc
+    count = entry["records"]
+    lengths = {len(rewards), len(propensities), len(timestamps),
+               len(decision_codes), len(state_codes)}
+    lengths.update(len(array) for _, array, _ in raw_features)
+    if lengths != {count}:
+        raise ShardTruncatedError(
+            f"{path}: array lengths {sorted(lengths)} disagree with the "
+            f"manifest's {count} records; the shard is corrupt",
+            shard=str(path),
+        )
+    try:
+        vocabulary = tuple(
+            _decode_value(value) for value in json.loads(decision_vocab)
+        )
+        decisions = tuple(_gathered(vocabulary, decision_codes))
+        state_vocabulary = [
+            _decode_value(value) for value in json.loads(state_vocab)
+        ]
+        states: List[Any] = [
+            None if code < 0 else state_vocabulary[code]
+            for code in state_codes.tolist()
+        ]
+        context_codes, contexts = _interned_contexts(
+            raw_features, count, feature_names
+        )
+    except Exception as exc:
+        # A shard whose bytes match its manifest can still carry a bad
+        # vocab blob or out-of-range code if something other than
+        # encode_shard wrote it: corruption, not a crash.
+        raise classify_decode_failure(path, exc) from exc
+    return _ShardColumns(
+        TraceColumns(
+            rewards,
+            propensities,
+            timestamps,
+            decisions,
+            contexts,
+            decision_codes.astype(np.intp, copy=False),
+            vocabulary,
+            feature_names=feature_names,
+            context_codes=context_codes,
+        ),
+        states,
+    )
+
+
+def _interned_contexts(
+    features: List[Tuple[str, np.ndarray, Optional[str]]],
+    count: int,
+    names: Tuple[str, ...],
+) -> Tuple[np.ndarray, Tuple[ClientContext, ...]]:
+    """Context codes, and one context per record shared across equal
+    feature rows.
+
+    Contexts are value objects (frozen, hashed by their items), so
+    records with equal feature rows can share one instance; on the
+    low-cardinality categorical workloads this format targets, that
+    collapses the dominant decode cost — per-record object
+    construction — to one build per distinct row per shard.  Rows
+    are keyed column-wise on the stored arrays: coded ids, ``i8``
+    values and ``f8`` bit patterns, so ``-0.0`` stays apart from
+    ``0.0`` (and ``True`` from ``1``, which the writer codes apart).
+    """
+    if not features:
+        return np.zeros(count, dtype=np.intp), (ClientContext(),) * count
+    codes, firsts = kernels.first_seen_codes(
+        *(array.view(np.int64) if kind in _RAW_KINDS else array
+          for kind, array, _ in features)
+    )
+    columns = []
+    for kind, array, vocab in features:
+        distinct = array[firsts]
+        if kind in _RAW_KINDS:
+            columns.append(distinct.tolist())
+        else:
+            vocabulary = [_decode_value(value) for value in json.loads(vocab)]
+            columns.append(_gathered(vocabulary, distinct))
+    # Trusted constructor: the manifest's schema is validated and sorted.
+    contexts = [
+        ClientContext._from_sorted_items(tuple(zip(names, row)))
+        for row in zip(*columns)
+    ]
+    return codes, tuple(_gathered(contexts, codes))
+
+
 class _ShardStore:
     """Loads and caches decoded shards for one manifest directory.
 
@@ -218,105 +333,7 @@ class _ShardStore:
         with span("store.load.shard", shard=index):
             raw = read_shard_with_retry(path, retry=self.retry, seed=index)
             check_shard_bytes(path, raw, entry)
-            try:
-                with np.load(io.BytesIO(raw), allow_pickle=False) as data:
-                    rewards = data["rewards"]
-                    propensities = data["propensities"]
-                    timestamps = data["timestamps"]
-                    decision_codes = data["decision_codes"]
-                    decision_vocab = str(data["decision_vocab"][()])
-                    state_codes = data["state_codes"]
-                    state_vocab = str(data["state_vocab"][()])
-                    raw_features = []
-                    for position, kind in enumerate(entry["feature_kinds"]):
-                        array = data[f"feature_{position}"]
-                        vocab = None
-                        if kind == "coded":
-                            vocab = str(data[f"feature_{position}_vocab"][()])
-                        raw_features.append((kind, array, vocab))
-            except ShardCorruptionError:
-                raise
-            except Exception as exc:
-                raise classify_decode_failure(path, exc) from exc
-        count = entry["records"]
-        lengths = {len(rewards), len(propensities), len(timestamps),
-                   len(decision_codes), len(state_codes)}
-        lengths.update(len(array) for _, array, _ in raw_features)
-        if lengths != {count}:
-            raise ShardTruncatedError(
-                f"{path}: array lengths {sorted(lengths)} disagree with the "
-                f"manifest's {count} records; the shard is corrupt",
-                shard=str(path),
-            )
-        try:
-            vocabulary = tuple(
-                _decode_value(value) for value in json.loads(decision_vocab)
-            )
-            decisions = tuple(_gathered(vocabulary, decision_codes))
-            state_vocabulary = [
-                _decode_value(value) for value in json.loads(state_vocab)
-            ]
-            states: List[Any] = [
-                None if code < 0 else state_vocabulary[code]
-                for code in state_codes.tolist()
-            ]
-            context_codes, contexts = self._interned_contexts(raw_features, count)
-        except Exception as exc:
-            # A shard whose bytes match its manifest can still carry a bad
-            # vocab blob or out-of-range code if something other than
-            # encode_shard wrote it: corruption, not a crash.
-            raise classify_decode_failure(path, exc) from exc
-        return _ShardColumns(
-            TraceColumns(
-                rewards,
-                propensities,
-                timestamps,
-                decisions,
-                contexts,
-                decision_codes.astype(np.intp, copy=False),
-                vocabulary,
-                feature_names=self.feature_names,
-                context_codes=context_codes,
-            ),
-            states,
-        )
-
-    def _interned_contexts(
-        self, features: List[Tuple[str, np.ndarray, Optional[str]]], count: int
-    ) -> Tuple[np.ndarray, Tuple[ClientContext, ...]]:
-        """Context codes, and one context per record shared across equal
-        feature rows.
-
-        Contexts are value objects (frozen, hashed by their items), so
-        records with equal feature rows can share one instance; on the
-        low-cardinality categorical workloads this format targets, that
-        collapses the dominant decode cost — per-record object
-        construction — to one build per distinct row per shard.  Rows
-        are keyed column-wise on the stored arrays: coded ids, ``i8``
-        values and ``f8`` bit patterns, so ``-0.0`` stays apart from
-        ``0.0`` (and ``True`` from ``1``, which the writer codes apart).
-        """
-        if not features:
-            return np.zeros(count, dtype=np.intp), (ClientContext(),) * count
-        codes, firsts = kernels.first_seen_codes(
-            *(array.view(np.int64) if kind in _RAW_KINDS else array
-              for kind, array, _ in features)
-        )
-        columns = []
-        for kind, array, vocab in features:
-            distinct = array[firsts]
-            if kind in _RAW_KINDS:
-                columns.append(distinct.tolist())
-            else:
-                vocabulary = [_decode_value(value) for value in json.loads(vocab)]
-                columns.append(_gathered(vocabulary, distinct))
-        # Trusted constructor: the manifest's schema is validated and sorted.
-        names = self.feature_names
-        contexts = [
-            ClientContext._from_sorted_items(tuple(zip(names, row)))
-            for row in zip(*columns)
-        ]
-        return codes, tuple(_gathered(contexts, codes))
+            return decode_shard(path, raw, entry, self.feature_names)
 
     def shard_range(self, start: int, stop: int) -> Iterator[Tuple[int, int, int]]:
         """Yield ``(shard_index, lo, hi)`` spans covering ``[start, stop)``

@@ -73,7 +73,7 @@ from repro.core.types import TraceColumns
 from repro.errors import EstimatorError, StoreError
 from repro.obs.spans import increment, observe, span
 from repro.runtime.pool import _block_partition, _effective_workers, _fork_available
-from repro.runtime.pool import fork_blocks
+from repro.runtime.pool import fork_blocks, forks
 
 #: Environment override for the default stream worker count, honoured
 #: whenever ``stream_estimate`` is reached without an explicit
@@ -358,16 +358,15 @@ def _forks(trace, workers: int) -> bool:
         return False
     # The caller scores the first planned chunk before it forks.
     rest = len(trace.plan_chunks()) - 1 if hasattr(trace, "plan_chunks") else 0
-    for reason, applies in (
-        ("no-fork", not _fork_available()),
-        ("quarantine", getattr(trace, "on_corruption", None) != "raise"),
-        ("one-chunk", rest < 2),
-        ("one-cpu", _effective_workers(workers, rest) < 2),
-    ):
-        if applies:
-            increment(f"ope.stream.sequential.{reason}")
-            return False
-    return True
+    return forks(
+        "ope.stream.sequential",
+        (
+            ("no-fork", not _fork_available()),
+            ("quarantine", getattr(trace, "on_corruption", None) != "raise"),
+            ("one-chunk", rest < 2),
+            ("one-cpu", _effective_workers(workers, rest) < 2),
+        ),
+    )
 
 
 class PanelPass:

@@ -154,3 +154,27 @@ class TestResumeValidation:
         ledger = _write(tmp_path, [_record(0), _record(3)])
         records = ledger.load_for_resume("fig7a", 7)
         assert set(records) == {0, 3}
+
+
+class TestStrictHeader:
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"root_seed": "7"}, "root_seed"),
+            ({"runs": 10.5}, "runs"),
+            ({"experiment": 7}, "experiment"),
+            ({"bogus": 1}, "bogus"),
+        ],
+    )
+    def test_bad_header_field_raises_naming_it(self, tmp_path, changes, field):
+        header = LedgerHeader(experiment="fig7a", root_seed=7, runs=10).to_json()
+        path = tmp_path / "ledger.jsonl"
+        path.write_text(json.dumps({**header, **changes}) + "\n")
+        with pytest.raises(LedgerError, match=field):
+            RunLedger(path).read()
+
+    def test_header_that_is_not_an_object_raises(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(LedgerError, match="not a run ledger"):
+            RunLedger(path).read()

@@ -95,3 +95,39 @@ class TestRunRecord:
     def test_malformed_payload_raises_ledger_error(self, payload):
         with pytest.raises(LedgerError):
             RunRecord.from_json(payload, "test")
+
+
+def _journaled(**changes):
+    payload = {
+        "index": 2,
+        "seed": 17,
+        "status": "ok",
+        "attempts": 1,
+        "duration": 0.0,
+        "errors": {"dm": 0.5},
+    }
+    payload.update(changes)
+    return payload
+
+
+class TestStrictRead:
+    """A journaled record is read, not coerced: a value of the wrong
+    type is a :class:`LedgerError` naming its field."""
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"index": 2.9}, "index"),
+            ({"index": "2"}, "index"),
+            ({"seed": 17.5}, "seed"),
+            ({"seed": "17"}, "seed"),
+            ({"attempts": True}, "attempts"),
+            ({"duration": "0"}, "duration"),
+            ({"errors": {"dm": "0.5"}}, "errors"),
+            ({"quarantined": {"bad-propensity": 1.5}}, "quarantined"),
+            ({"bogus": 1}, "bogus"),
+        ],
+    )
+    def test_bad_field_raises_naming_it(self, changes, field):
+        with pytest.raises(LedgerError, match=field):
+            RunRecord.from_json(_journaled(**changes), "test")

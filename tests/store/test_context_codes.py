@@ -24,7 +24,8 @@ from repro.errors import PolicyError, ShardDecodeError
 from repro.store import ShardedTrace
 from repro.store import streaming
 from repro.store.format import MANIFEST_NAME, shard_filename
-from repro.store.integrity import shard_checksum
+from repro.store.integrity import shard_checksum, verify_store
+from repro.store.repair import repair_store
 from repro.workloads.synthetic import SyntheticWorkload
 
 from tests.store.conftest import build_trace
@@ -261,3 +262,31 @@ class TestOutOfRangeCodes:
         _rewrite_shard(directory, damage)
         with pytest.raises(ShardDecodeError, match="would not decode"):
             ShardedTrace(directory).materialize()
+
+
+class TestVerifyAndRepairDecodeLikeTheReader:
+    """A resealed shard with a code outside its vocabulary passes the
+    byte checks but not the reader's decoder; ``repro verify`` and
+    ``repro repair`` must judge it by that decoder."""
+
+    @pytest.fixture(params=["decision_codes", "feature_1"])
+    def directory(self, request, tmp_path):
+        directory = tmp_path / "s"
+        build_trace(n=24).to_shards(directory, shard_size=12)
+
+        def damage(arrays):
+            arrays[request.param][0] = -1
+
+        _rewrite_shard(directory, damage)
+        return directory
+
+    def test_verify_flags_the_shard_undecodable(self, directory):
+        kinds = [shard.kind for shard in verify_store(directory).shards]
+        assert kinds == ["undecodable", None]
+        assert verify_store(directory, decode=False).ok
+
+    def test_repair_drops_the_shard(self, directory):
+        report = repair_store(directory)
+        assert report.kept == [shard_filename(1)]
+        assert [name for name, _ in report.dropped] == [shard_filename(0)]
+        assert len(ShardedTrace(directory).materialize()) == 12

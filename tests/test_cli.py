@@ -127,27 +127,3 @@ class TestServeCommand:
         bad.write_text("{broken")
         assert main(["serve", str(bad)]) == 1
         assert "repro serve: error" in capsys.readouterr().err
-
-    def test_bench_serve_flag_parses(self, tmp_path, capsys):
-        # Tiny but real run through the load harness (quick profile).
-        output = tmp_path / "BENCH_serve.json"
-        assert (
-            main(
-                [
-                    "bench",
-                    "--serve",
-                    "--quick",
-                    "--queries",
-                    "30",
-                    "--concurrency",
-                    "6",
-                    "--output",
-                    str(output),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "latency p50" in out
-        assert "throughput" in out
-        assert output.exists()
