@@ -211,9 +211,9 @@ class StreamBatch:
     def iter_records(self) -> Iterator[TraceRecord]:
         """Materialise the batch as :class:`TraceRecord` objects.
 
-        The slow path, used by capture (``ShardWriter``) and tests; the
-        records are exactly what a per-record generator would have
-        produced for the same draws.
+        The slow path, for tests and consumers that want records (capture
+        reads the columns); the records are exactly what a per-record
+        generator would have produced for the same draws.
         """
         for index in range(len(self)):
             yield self._record(index)

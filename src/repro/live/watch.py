@@ -298,7 +298,7 @@ class LiveWatch:
         rewards = chunk.columns().rewards
         self.detector.update(float(np.mean(rewards)), size)
         if self._writer is not None:
-            self._writer.extend(chunk.iter_records())
+            self._writer.extend(chunk)
         self._records += size
         self._chunks += 1
         elapsed = time.perf_counter() - update_started

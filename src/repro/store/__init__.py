@@ -48,7 +48,6 @@ from repro.store.format import (
     load_manifest,
     schema_hash,
     shard_filename,
-    trace_to_shards,
     write_shards,
 )
 from repro.store.integrity import (
@@ -95,7 +94,6 @@ __all__ = [
     "shard_checksum",
     "shard_filename",
     "stream_estimate",
-    "trace_to_shards",
     "verify_store",
     "write_shards",
 ]

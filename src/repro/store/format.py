@@ -48,19 +48,15 @@ import hashlib
 import io
 import json
 import math
+import operator
 import os
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.types import (
-    ClientContext,
-    Trace,
-    TraceRecord,
-    _decode_value,
-    _encode_value,
-)
+from repro import kernels
+from repro.core.types import ClientContext, TraceRecord, _encode_value
 from repro.errors import JsonlRecordError, StoreError, TraceError
 from repro.ioutil import atomic_write_bytes, atomic_write_text, fsync_directory
 from repro.obs.spans import observe, recording, span
@@ -120,16 +116,26 @@ def _canonical(value: Any) -> Any:
     return value
 
 
-def _encode_object_column(values: List[Any]) -> Tuple[np.ndarray, str]:
-    """Code *values* into a first-seen vocabulary.
+def _distinct(objects: np.ndarray) -> Tuple[np.ndarray, List[Any]]:
+    """First-seen codes of an object column's distinct objects, and the
+    objects in code order.  By identity, never ``==``: ``ClientContext(a=1)
+    == ClientContext(a=True)``, yet the two must write different values."""
+    ids = np.fromiter(map(id, objects), dtype=np.intp, count=len(objects))
+    codes, firsts = kernels.first_seen_codes(ids)
+    return codes, [objects[index] for index in firsts.tolist()]
 
-    Returns the ``intp`` code array and the JSON-encoded vocabulary
-    (tuple-tagged, exactly like ``Trace.to_jsonl``).
-    """
-    codes = np.empty(len(values), dtype=np.intp)
+
+def _code_entries(
+    values: List[Any], codes: np.ndarray, skip_none: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Code a column's distinct *values* (see :func:`_distinct`) into a
+    first-seen vocabulary: the records' ``intp`` codes (``-1`` for
+    ``None`` under *skip_none*) and the JSON-encoded vocabulary
+    (tuple-tagged, exactly like ``Trace.to_jsonl``)."""
+    remap = np.empty(len(values), dtype=np.intp)
     vocabulary: List[Any] = []
-    positions: Dict[Any, int] = {}
-    for index, value in enumerate(values):
+    positions: Dict[Any, int] = {(type(None), None): -1} if skip_none else {}
+    for entry, value in enumerate(values):
         # Keyed by (type, value): Python hashes True == 1 == 1.0, which
         # would otherwise conflate vocabulary entries that must decode
         # back to distinct objects.  Floats add their sign: -0.0 == 0.0.
@@ -141,28 +147,29 @@ def _encode_object_column(values: List[Any]) -> Tuple[np.ndarray, str]:
             code = len(vocabulary)
             positions[key] = code
             vocabulary.append(value)
-        codes[index] = code
+        remap[entry] = code
     encoded = json.dumps([_encode_value(entry) for entry in vocabulary])
-    return codes, encoded
+    return remap[codes], np.asarray(encoded)
 
 
-def _encode_feature_column(values: List[Any]) -> Tuple[str, np.ndarray, Optional[str]]:
+def _encode_feature_column(
+    values: List[Any], codes: np.ndarray
+) -> Tuple[str, np.ndarray, Optional[np.ndarray]]:
     """Pick the tightest exact encoding for one feature column.
 
-    ``("f8", array, None)`` when every value is a plain float,
-    ``("i8", array, None)`` when every value is a plain int that fits
-    ``int64``, else ``("coded", codes, vocab_json)``.  ``bool`` is an
-    ``int`` subclass but must round-trip as ``bool``, so it always takes
-    the coded path.
+    Decided over the distinct *values*: ``("f8", array, None)`` when
+    every value is a plain float, ``("i8", array, None)`` when every
+    value is a plain int that fits ``int64``, else ``("coded", codes,
+    vocab_json)``.  ``bool`` is an ``int`` subclass but must round-trip
+    as ``bool``, so it always takes the coded path.
     """
     if values and all(type(value) is float for value in values):
-        return "f8", np.asarray(values, dtype=np.float64), None
+        return "f8", np.asarray(values, dtype=np.float64)[codes], None
     if values and all(
         type(value) is int and -(2**63) <= value < 2**63 for value in values
     ):
-        return "i8", np.asarray(values, dtype=np.int64), None
-    codes, vocabulary = _encode_object_column(values)
-    return "coded", codes, vocabulary
+        return "i8", np.asarray(values, dtype=np.int64)[codes], None
+    return ("coded", *_code_entries(values, codes))
 
 
 def _summary(values: np.ndarray) -> Dict[str, float]:
@@ -178,68 +185,90 @@ def _summary(values: np.ndarray) -> Dict[str, float]:
     }
 
 
+#: A shard's columns as :func:`encode_shard` takes them: ``float64``
+#: arrays, then object arrays of each record's decision, context, state.
+SHARD_COLUMNS = (
+    "rewards", "propensities", "timestamps", "decisions", "contexts", "states"
+)
+_RECORD_FIELDS = ("reward", "propensity", "timestamp", "decision", "context", "state")
+
+
 def encode_shard(
-    records: Sequence[TraceRecord],
+    columns: Dict[str, np.ndarray],
     feature_names: Sequence[str],
 ) -> Tuple[bytes, Dict[str, Any]]:
-    """Encode one shard's records into npz bytes plus its manifest entry.
+    """Encode one shard's :data:`SHARD_COLUMNS` into npz bytes plus its
+    manifest entry.  Object columns are coded once per distinct object,
+    then spread over the records with numpy.
 
     Deterministic: the same records in the same order always produce the
     same bytes, the same checksum, and the same entry (minus ``file``,
     which the caller assigns) — which is what lets ``repro repair``
     re-derive a corrupted shard bit-identically from the source records.
     """
-    count = len(records)
-    arrays: Dict[str, np.ndarray] = {}
-    rewards = np.empty(count, dtype=np.float64)
-    propensities = np.empty(count, dtype=np.float64)
-    timestamps = np.empty(count, dtype=np.float64)
-    decisions: List[Any] = []
-    states: List[Any] = []
-    for position, record in enumerate(records):
-        rewards[position] = record.reward
-        propensities[position] = (
-            np.nan if record.propensity is None else record.propensity
+    arrays = {n: np.asarray(columns[n], dtype=np.float64) for n in SHARD_COLUMNS[:3]}
+    for name, prefix in (("decisions", "decision"), ("states", "state")):
+        codes, values = _distinct(columns[name])
+        arrays[f"{prefix}_codes"], arrays[f"{prefix}_vocab"] = _code_entries(
+            [_canonical(value) for value in values], codes, name == "states"
         )
-        timestamps[position] = (
-            np.nan if record.timestamp is None else record.timestamp
-        )
-        decisions.append(_canonical(record.decision))
-        states.append(_canonical(record.state))
-    arrays["rewards"] = rewards
-    arrays["propensities"] = propensities
-    arrays["timestamps"] = timestamps
-    decision_codes, decision_vocab = _encode_object_column(decisions)
-    arrays["decision_codes"] = decision_codes
-    arrays["decision_vocab"] = np.asarray(decision_vocab)
-    state_values = [state for state in states if state is not None]
-    state_codes, state_vocab = _encode_object_column(state_values)
-    padded = np.full(count, -1, dtype=np.intp)
-    padded[[i for i, state in enumerate(states) if state is not None]] = (
-        state_codes
-    )
-    arrays["state_codes"] = padded
-    arrays["state_vocab"] = np.asarray(state_vocab)
+    codes, contexts = _distinct(columns["contexts"])
     feature_kinds: List[str] = []
     for feature_index, name in enumerate(feature_names):
-        column = [_canonical(record.context[name]) for record in records]
-        kind, array, vocabulary = _encode_feature_column(column)
+        column = [_canonical(context[name]) for context in contexts]
+        kind, array, vocabulary = _encode_feature_column(column, codes)
         feature_kinds.append(kind)
         arrays[f"feature_{feature_index}"] = array
         if vocabulary is not None:
-            arrays[f"feature_{feature_index}_vocab"] = np.asarray(vocabulary)
+            arrays[f"feature_{feature_index}_vocab"] = vocabulary
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
     data = buffer.getvalue()
     entry = {
-        "records": count,
+        "records": len(arrays["rewards"]),
         "bytes": len(data),
         "sha256": shard_checksum(data),
         "feature_kinds": feature_kinds,
-        "rewards": _summary(rewards),
-        "propensities": _summary(propensities),
+        "rewards": _summary(arrays["rewards"]),
+        "propensities": _summary(arrays["propensities"]),
     }
     return data, entry
+
+
+def _objects(values: Sequence[Any]) -> np.ndarray:
+    """*values* as a 1-d object array (tuples stay elements)."""
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def records_columns(records: Sequence[TraceRecord]) -> Dict[str, np.ndarray]:
+    """The :data:`SHARD_COLUMNS` of *records*: the one conversion every
+    record writer goes through.  A missing propensity or timestamp
+    becomes ``nan``, as the shard stores it."""
+    fields = (list(map(operator.attrgetter(f), records)) for f in _RECORD_FIELDS)
+    return {
+        name: np.array(values, dtype=np.float64) if index < 3 else _objects(values)
+        for index, (name, values) in enumerate(zip(SHARD_COLUMNS, fields))
+    }
+
+
+def batch_columns(batch) -> Dict[str, np.ndarray]:
+    """The :data:`SHARD_COLUMNS` of a live ``StreamBatch``, gathered from
+    its code arrays, after :class:`TraceRecord`'s checks on whole
+    columns (``nan`` fails both).  A ``nan`` timestamp, which a record
+    stores as ``None``, is written as the canonical ``nan``."""
+    if not np.isfinite(batch.rewards).all():
+        raise TraceError("batch rewards must be finite")
+    if not ((batch.propensities > 0.0) & (batch.propensities <= 1.0 + 1e-12)).all():
+        raise TraceError("batch propensities must lie in (0, 1]")
+    states = [None] * len(batch) if batch.states is None else batch.states
+    return {
+        "rewards": batch.rewards,
+        "propensities": batch.propensities,
+        "timestamps": np.where(np.isnan(batch.timestamps), np.nan, batch.timestamps),
+        "decisions": _objects(batch.decisions_vocabulary)[batch.decision_codes],
+        "contexts": _objects(batch.contexts_vocabulary)[batch.context_codes],
+        "states": _objects(states),
+    }
 
 
 class ShardWriter:
@@ -248,16 +277,15 @@ class ShardWriter:
     Usage::
 
         with ShardWriter(directory, shard_size=100_000) as writer:
-            for record in records:
-                writer.append(record)
+            writer.extend(records)  # or live batches, or append(record)
         sharded = ShardedTrace(directory)
 
-    The writer buffers at most one shard of records at a time, so a
-    10M-record trace can be written with O(shard_size) memory.  The first
-    record fixes the feature schema; later records with a different
-    schema raise :class:`~repro.errors.TraceError` (the format stores
-    one column per feature, so a sharded trace is schema-consistent by
-    construction).
+    The writer buffers at most one shard (O(shard_size) memory): live
+    batches as columns (:func:`batch_columns`, no per-record objects),
+    records as they come, converted once at flush.  The first record
+    fixes the feature schema; a later one with another schema raises
+    :class:`~repro.errors.TraceError` (the format stores one column per
+    feature, so a sharded trace is schema-consistent by construction).
 
     Crash-consistency protocol (DESIGN.md §11), per shard:
 
@@ -293,7 +321,8 @@ class ShardWriter:
             )
         self._shard_size = int(shard_size)
         self._feature_names: Optional[Tuple[str, ...]] = None
-        self._buffer: List[TraceRecord] = []
+        self._pieces: List[Any] = []  # batch columns, or runs of records
+        self._buffered = 0
         self._shards: List[Dict[str, Any]] = []
         self._total = 0
         self._closed = False
@@ -320,23 +349,52 @@ class ShardWriter:
         """Buffer one record, flushing a full shard to disk."""
         if self._closed:
             raise StoreError("ShardWriter is closed")
-        names = record.context.keys()
-        if self._feature_names is None:
-            self._feature_names = names
-        elif names != self._feature_names:
-            raise TraceError(
-                "sharded traces require one feature schema; record "
-                f"{self._total + len(self._buffer)} has {names}, expected "
-                f"{self._feature_names}"
-            )
-        self._buffer.append(record)
-        if len(self._buffer) >= self._shard_size:
+        if record.context.keys() != self._feature_names:
+            self._check_schema((record.context,))
+        if not self._pieces or not isinstance(self._pieces[-1], list):
+            self._pieces.append([])
+        self._pieces[-1].append(record)
+        self._buffered += 1
+        if self._buffered >= self._shard_size:
             self._flush_shard()
 
-    def extend(self, records: Iterable[TraceRecord]) -> None:
-        """Append every record of *records* in order."""
-        for record in records:
-            self.append(record)
+    def extend(self, source: Iterable[TraceRecord]) -> None:
+        """Append a live ``StreamBatch`` (as its columns), a ``Trace`` chunk
+        or any record iterable, in order.  Records are converted to columns
+        once, by :func:`records_columns`, when their shard flushes."""
+        from repro.live.chunks import StreamBatch
+
+        if not isinstance(source, StreamBatch):
+            for record in source:
+                self.append(record)
+            return
+        if self._closed:
+            raise StoreError("ShardWriter is closed")
+        columns = batch_columns(source)
+        cells = [source.contexts_vocabulary[c] for c in np.unique(source.context_codes)]
+        self._check_schema(columns["contexts"], cells)
+        start, size = 0, len(source)
+        while start < size:
+            stop = min(size, start + self._shard_size - self._buffered)
+            self._pieces.append({k: v[start:stop] for k, v in columns.items()})
+            self._buffered += stop - start
+            start = stop
+            if self._buffered >= self._shard_size:
+                self._flush_shard()
+
+    def _check_schema(self, contexts: Sequence[Any], distinct: Any = None) -> None:
+        """The first record fixes the schema; every later one must match.
+        *distinct*, when given, holds each context *contexts* uses once."""
+        if self._feature_names is None and len(contexts):
+            self._feature_names = contexts[0].keys()
+        schema = self._feature_names
+        if any(c.keys() != schema for c in (distinct or contexts)):
+            index = next(i for i, c in enumerate(contexts) if c.keys() != schema)
+            raise TraceError(
+                "sharded traces require one feature schema; record "
+                f"{self._total + self._buffered + index} has "
+                f"{contexts[index].keys()}, expected {schema}"
+            )
 
     def _journal_append(self, payload: Dict[str, Any]) -> None:
         """Append one fsynced line to the write-ahead journal."""
@@ -357,12 +415,13 @@ class ShardWriter:
         os.fsync(self._journal.fileno())
 
     def _flush_shard(self) -> None:
-        records = self._buffer
-        self._buffer = []
+        pieces, self._pieces, self._buffered = self._pieces, [], 0
+        pieces = [records_columns(p) if isinstance(p, list) else p for p in pieces]
+        columns = {n: np.concatenate([p[n] for p in pieces]) for n in SHARD_COLUMNS}
         index = len(self._shards)
         path = self._directory / shard_filename(index)
         with span("store.write.shard", shard=index):
-            data, entry = encode_shard(records, self._feature_names or ())
+            data, entry = encode_shard(columns, self._feature_names or ())
             atomic_write_bytes(path, data)
         if recording():
             observe("store.shard.bytes", float(len(data)))
@@ -370,7 +429,7 @@ class ShardWriter:
         # Journal *after* the rename: an entry certifies a durable shard.
         self._journal_append(entry)
         self._shards.append(entry)
-        self._total += len(records)
+        self._total += entry["records"]
 
     def close(self) -> Path:
         """Flush the final partial shard and atomically write the manifest.
@@ -382,7 +441,7 @@ class ShardWriter:
         """
         if self._closed:
             return self._directory / MANIFEST_NAME
-        if self._buffer:
+        if self._pieces:
             self._flush_shard()
         if self._total == 0:
             raise StoreError(
@@ -705,15 +764,6 @@ def load_manifest(
     return manifest
 
 
-def trace_to_shards(
-    trace: Trace,
-    directory: Union[str, Path],
-    shard_size: int = DEFAULT_SHARD_SIZE,
-) -> Path:
-    """Write an in-memory :class:`Trace` as a sharded trace directory."""
-    return write_shards(iter(trace), directory, shard_size=shard_size)
-
-
 def trusted_record(
     context: ClientContext,
     decision: Any,
@@ -739,7 +789,3 @@ def trusted_record(
     object.__setattr__(record, "state", state)
     return record
 
-
-def _none_if_nan(value: float) -> Optional[float]:
-    """Decode the column encoding of an optional float field."""
-    return None if math.isnan(value) else value

@@ -183,7 +183,7 @@ def _repair_from_manifest(
     directory: Path, load_manifest, source, retry
 ) -> RepairReport:
     """Excise or re-derive the corrupt shards a manifest lists."""
-    from repro.store.format import encode_shard
+    from repro.store.format import encode_shard, records_columns
 
     manifest = load_manifest(directory, check_files=False)
     features = list(manifest["schema"]["features"])
@@ -201,7 +201,7 @@ def _repair_from_manifest(
             report.kept.append(str(entry["file"]))
         elif source_reader is not None:
             records = source_reader.slice(offset, count)
-            data, fresh = encode_shard(records, feature_names)
+            data, fresh = encode_shard(records_columns(records), feature_names)
             path = directory / entry["file"]
             atomic_write_bytes(path, data)
             entries.append({"file": path.name, **fresh})

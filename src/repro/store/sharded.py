@@ -40,6 +40,7 @@ import numpy as np
 
 from repro import kernels
 from repro.core.types import ClientContext, Trace, TraceColumns, TraceRecord
+from repro.core.types import _decode_value
 from repro.errors import (
     ShardCorruptionError,
     ShardTruncatedError,
@@ -47,12 +48,7 @@ from repro.errors import (
     TraceError,
 )
 from repro.obs.spans import increment, span
-from repro.store.format import (
-    _RAW_KINDS,
-    _decode_value,
-    load_manifest,
-    trusted_record,
-)
+from repro.store.format import _RAW_KINDS, load_manifest, trusted_record
 from repro.store.integrity import (
     QuarantinedShard,
     ShardQuarantineReport,

@@ -179,3 +179,43 @@ class TestWatchCli:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "records=400" in out
+
+    def test_cli_watch_follow_mode_with_capture(self, tmp_path, capsys):
+        # Follow mode yields Trace chunks; capture must take them as it
+        # takes live batches, and verify offline like any other run.
+        from repro.cli import main
+        from repro.core.types import Trace
+        from repro.store import ShardedTrace
+        from repro.workloads.synthetic import SyntheticWorkload
+
+        workload = SyntheticWorkload()
+        policy = workload.logging_policy(epsilon=0.3)
+        trace = workload.generate_trace(policy, 200, np.random.default_rng(4))
+        path = tmp_path / "live.jsonl"
+        trace.to_jsonl(path)
+        capture = tmp_path / "capture"
+        code = main(
+            [
+                "watch",
+                "--follow",
+                str(path),
+                "--records",
+                "200",
+                "--chunk-size",
+                "64",
+                "--idle-timeout",
+                "0.2",
+                "--refresh",
+                "0",
+                "--policies",
+                "2",
+                "--capture",
+                str(capture),
+                "--verify-offline",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert out.count(": MATCH") == 2, out
+        captured = ShardedTrace(capture).materialize()
+        assert list(captured) == list(Trace.from_jsonl(str(path)))

@@ -163,6 +163,37 @@ class TestCrashPoints:
         assert verify_store(directory).ok
 
 
+class TestBatchFedCrash:
+    def test_crash_between_batches_recovers_the_journaled_shards(self, tmp_path):
+        # Live capture feeds columnar batches, not records: 10-record
+        # batches against 25-record shards, killed after the sixth batch
+        # (two shards committed, one straddling batch boundaries, and
+        # ten records buffering).
+        from repro.workloads.drift import LiveTrafficGenerator
+
+        directory = tmp_path / "s"
+        batches = list(
+            LiveTrafficGenerator(scenario="diurnal", seed=5, chunk_records=10)
+            .iter_batches(max_records=RECORDS)
+        )
+        with pytest.raises(SimulatedCrash):
+            with ShardWriter(directory, shard_size=SHARD_SIZE) as writer:
+                for index, batch in enumerate(batches):
+                    if index == 6:
+                        raise SimulatedCrash()
+                    writer.extend(batch)
+        assert not (directory / MANIFEST_NAME).exists()
+        report = repair_store(directory)
+        assert report.mode == "journal"
+        assert report.kept == ["shard-00000.npz", "shard-00001.npz"]
+        assert report.total_records == 2 * SHARD_SIZE
+        assert verify_store(directory).ok
+        recovered = ShardedTrace(directory)
+        assert len(recovered) == 2 * SHARD_SIZE
+        records = [record for batch in batches for record in batch.iter_records()]
+        assert list(recovered.materialize()) == records[: 2 * SHARD_SIZE]
+
+
 class TestCleanClose:
     def test_journal_removed_after_manifest_commits(self, tmp_path):
         directory = tmp_path / "s"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -272,3 +273,122 @@ class TestDenseEquivalenceOfColumns:
         assert Trace(sharded.materialize()).columns().feature_names() == (
             dense.feature_names()
         )
+
+
+def _batch(rewards=(0.5, 1.0), propensities=(0.5, 0.25), **overrides):
+    """A two-record live batch over one context cell."""
+    from repro.live.chunks import StreamBatch
+
+    fields = dict(
+        context_codes=np.zeros(len(rewards), dtype=np.intp),
+        decision_codes=np.arange(len(rewards), dtype=np.intp) % 2,
+        rewards=np.asarray(rewards, dtype=np.float64),
+        propensities=np.asarray(propensities, dtype=np.float64),
+        timestamps=np.arange(len(rewards), dtype=np.float64),
+        contexts_vocabulary=(core.ClientContext(a="x"),),
+        decisions_vocabulary=("d0", "d1"),
+        feature_names=("a",),
+    )
+    fields.update(overrides)
+    return StreamBatch(**fields)
+
+
+class TestWriterBatchChecks:
+    """A batch gets the checks its records would get from TraceRecord."""
+
+    @pytest.mark.parametrize("reward", [np.inf, -np.inf, np.nan])
+    def test_non_finite_reward_refused(self, tmp_path, reward):
+        with pytest.raises(TraceError):
+            ShardWriter(tmp_path / "s").extend(_batch(rewards=(0.5, reward)))
+
+    @pytest.mark.parametrize("propensity", [0.0, -0.25, 1.0 + 1e-9, np.nan])
+    def test_propensity_outside_unit_interval_refused(self, tmp_path, propensity):
+        with pytest.raises(TraceError):
+            ShardWriter(tmp_path / "s").extend(
+                _batch(propensities=(0.5, propensity))
+            )
+
+    def test_propensity_tolerance_accepted(self, tmp_path):
+        with ShardWriter(tmp_path / "s") as writer:
+            writer.extend(_batch(propensities=(0.5, 1.0 + 1e-12)))
+        assert len(ShardedTrace(tmp_path / "s")) == 2
+
+    def test_used_context_with_other_schema_refused(self, tmp_path):
+        cells = (core.ClientContext(a="x"), core.ClientContext(b="x"))
+        batch = _batch(
+            context_codes=np.array([0, 1], dtype=np.intp),
+            contexts_vocabulary=cells,
+        )
+        with pytest.raises(TraceError, match="record 1 has"):
+            ShardWriter(tmp_path / "s").extend(batch)
+
+    def test_unused_context_with_other_schema_ignored(self, tmp_path):
+        cells = (core.ClientContext(a="x"), core.ClientContext(b="x"))
+        with ShardWriter(tmp_path / "s") as writer:
+            writer.extend(_batch(contexts_vocabulary=cells))
+        assert len(ShardedTrace(tmp_path / "s")) == 2
+
+    def test_schema_change_from_record_to_batch_refused(self, tmp_path):
+        writer = ShardWriter(tmp_path / "s")
+        writer.append(build_trace(n=1)[0])
+        with pytest.raises(TraceError):
+            writer.extend(_batch())
+
+    def test_nan_timestamps_written_as_records_write_them(self, tmp_path):
+        # A record stores a nan timestamp as None; the batch's own nan
+        # bits (here a negative nan) must not reach the shard.
+        batch = _batch(timestamps=np.array([-np.nan, 1.0]))
+        with ShardWriter(tmp_path / "batch") as writer:
+            writer.extend(batch)
+        write_shards(batch.iter_records(), tmp_path / "records")
+        name = shard_filename(0)
+        assert (tmp_path / "batch" / name).read_bytes() == (
+            tmp_path / "records" / name
+        ).read_bytes()
+
+    def test_records_and_batches_share_a_shard(self, tmp_path):
+        # Appended records and extended batches interleave inside one
+        # shard, and shards end mid-batch: the bytes must still be those
+        # of the same records written through write_shards.
+        from repro.workloads.drift import LiveTrafficGenerator
+
+        batches = list(
+            LiveTrafficGenerator(
+                scenario="diurnal", seed=3, chunk_records=7, arrivals_per_hour=10.0
+            ).iter_batches(max_records=70)
+        )
+        with ShardWriter(tmp_path / "mixed", shard_size=16) as writer:
+            for index, batch in enumerate(batches):
+                if index % 2:
+                    writer.extend(batch)
+                else:
+                    for record in batch.iter_records():
+                        writer.append(record)
+        records = [record for batch in batches for record in batch.iter_records()]
+        write_shards(records, tmp_path / "records", shard_size=16)
+        assert load_manifest(tmp_path / "mixed") == load_manifest(tmp_path / "records")
+        for index in range(5):
+            name = shard_filename(index)
+            assert (tmp_path / "mixed" / name).read_bytes() == (
+                tmp_path / "records" / name
+            ).read_bytes()
+
+    def test_equal_contexts_of_distinct_types_keep_their_bytes(self, tmp_path):
+        # ClientContext(a=1) == ClientContext(a=True): interning contexts
+        # by equality would write the second record's flag as 1.
+        records = [
+            core.TraceRecord(
+                context=core.ClientContext(a=value),
+                decision="d",
+                reward=float(index),
+                propensity=0.5,
+            )
+            for index, value in enumerate((1, True, 1, True))
+        ]
+        write_shards(iter(records), tmp_path / "s", shard_size=10)
+        data = (tmp_path / "s" / shard_filename(0)).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "f6b85730d70e0d3ee7dd42ac40ca1ec70dd6cedef2c5aba9c65dc66f1095f7b3"
+        )
+        flags = [record.context["a"] for record in ShardedTrace(tmp_path / "s")]
+        assert [type(flag) for flag in flags] == [int, bool, int, bool]
