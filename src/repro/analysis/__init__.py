@@ -61,7 +61,7 @@ REP013    Contract coverage — per-record propensity consumption must sit
 ========  ==============================================================
 
 Run it via ``repro lint [--rules ...] [--format text|json|sarif]
-[--cache [PATH]] [--jobs N] PATH`` or
+[--cache [PATH]] PATH`` or
 programmatically through :func:`lint_paths`.  CI lints ``src/repro``
 itself: the linter must pass on the codebase it ships in.
 """

@@ -1,6 +1,6 @@
 """Content-hash incremental cache for the lint engine.
 
-A lint run over ``src/repro`` parses ~180 files and runs nine per-module
+A lint run over ``src/repro`` parses ~125 files and runs nine per-module
 rules on each; on a warm CI runner almost none of them changed since the
 last run.  The cache keys every file on the SHA-256 of its bytes plus
 the engine version and the selected per-module rule set, and stores two
@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.graph import INDEX_VERSION, ModuleIndex
 
@@ -97,8 +97,6 @@ class LintCache:
         self.path = path
         self.signature = signature
         self.entries: Dict[str, CacheEntry] = {}
-        self.hits = 0
-        self.misses = 0
 
     @classmethod
     def load(cls, path, signature: str) -> "LintCache":
@@ -129,9 +127,7 @@ class LintCache:
         """The cached entry for *display*, or None when content changed."""
         entry = self.entries.get(display)
         if entry is not None and entry.file_hash == file_hash:
-            self.hits += 1
             return entry
-        self.misses += 1
         return None
 
     def put(self, display: str, entry: CacheEntry) -> None:
@@ -172,10 +168,3 @@ class LintCache:
                 f"repro lint: warning: could not write cache {self.path}: {exc}",
                 file=sys.stderr,
             )
-
-
-def stats(cache: Optional[LintCache]) -> Tuple[int, int]:
-    """``(hits, misses)`` for an optional cache."""
-    if cache is None:
-        return (0, 0)
-    return (cache.hits, cache.misses)

@@ -8,10 +8,13 @@ framework; one lint invocation now runs in four stages:
 2. **Per-file analysis** — for files missing from the incremental cache
    (:mod:`repro.analysis.cache`), parse the AST, run every *module
    rule* (REP001–REP009), and extract the
-   :class:`~repro.analysis.graph.ModuleIndex` facts.  Large file sets
-   fan out over a fork-based process pool; results are deterministic
-   regardless of pool size.  Cached files contribute their stored
-   violations and index without being re-read beyond hashing.
+   :class:`~repro.analysis.graph.ModuleIndex` facts.  The pending files
+   split into one contiguous block per CPU for
+   :func:`repro.runtime.pool.fork_blocks`: the caller analyzes the
+   first block and forked children the others, inheriting the decoded
+   sources; results are identical for any number of blocks.  Cached
+   files contribute their stored violations and index without being
+   re-read beyond hashing.
 3. **Project analysis** — assemble every index into a
    :class:`~repro.analysis.graph.ProjectIndex` (symbol table + call
    graph) and run the *project rules* (REP003 interface parity and the
@@ -34,8 +37,8 @@ ignored so the file can be linted by other tools too.
 from __future__ import annotations
 
 import ast
+import pickle
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
@@ -48,13 +51,15 @@ from repro.analysis.cache import (
 )
 from repro.analysis.graph import ModuleIndex, ProjectIndex, build_module_index
 from repro.errors import AnalysisError
+from repro.runtime.pool import (
+    _block_partition,
+    _effective_workers,
+    _fork_available,
+    fork_blocks,
+)
 
 _NOQA_COMMENT = re.compile(r"#\s*noqa(?P<rest>:[^#]*)?", re.IGNORECASE)
 _NOQA_CODE = re.compile(r"^[A-Za-z]+[0-9]+$")
-
-#: Files below this count are analyzed serially; the pool's fork+import
-#: overhead only pays for itself on project-sized invocations.
-PARALLEL_THRESHOLD = 64
 
 
 def parse_noqa_codes(line: str) -> Optional[Tuple[bool, Optional[List[str]]]]:
@@ -152,15 +157,6 @@ class ModuleUnit:
             self.tree = ast.parse(source, filename=display)
         except SyntaxError as exc:
             raise AnalysisError(f"{display}:{exc.lineno}: does not parse: {exc.msg}")
-
-    def suppressed(self, line: int, rule_id: str) -> bool:
-        """``True`` when *line* carries a noqa comment covering *rule_id*."""
-        if line not in self.noqa:
-            return False
-        codes = self.noqa[line]
-        if codes is None:
-            return True
-        return rule_id.upper() in {code.upper() for code in codes}
 
 
 class LintRule:
@@ -326,56 +322,33 @@ def _analyze_source(
 ) -> Tuple[List[Violation], ModuleIndex]:
     """Parse one file, run the module rules, build the index."""
     unit = ModuleUnit(path=path, display=display, source=source)
-    rules = build_rules(module_rule_ids)
+    index = build_module_index(unit.tree, display, path.parts, noqa=unit.noqa)
     violations: List[Violation] = []
-    for rule in rules:
+    for rule in build_rules(module_rule_ids):
         if not rule.applies_to(unit):
             continue
         for violation in rule.check_module(unit):
-            if not unit.suppressed(violation.line, violation.rule_id):
+            if not index.suppressed(violation.line, violation.rule_id):
                 violations.append(violation)
-    index = build_module_index(
-        unit.tree, display, path.parts, noqa=unit.noqa
-    )
     return violations, index
 
 
-def _analyze_file_payload(
-    path_str: str, display: str, module_rule_ids: Tuple[str, ...]
-) -> Dict[str, object]:
-    """Pool-friendly wrapper: returns a JSON payload for one file."""
-    path = Path(path_str)
-    try:
-        source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise AnalysisError(f"cannot read {path}: {exc}")
-    violations, index = _analyze_source(source, path, display, module_rule_ids)
-    return {
-        "display": display,
-        "hash": content_hash(source.encode("utf-8")),
-        "violations": [violation.to_json() for violation in violations],
-        "index": index.to_json(),
-    }
+# Context of the lint's blocks, inherited over fork so the decoded
+# sources never cross a pipe: (pending files, module rule ids).
+_LINT_CONTEXT: Optional[Tuple] = None
 
 
-def _pool_size(jobs: Optional[int], pending: int) -> int:
-    """Worker count: explicit ``jobs`` wins, else scale with the work."""
-    import multiprocessing
-
-    if pending < 2:
-        return 1
-    if jobs is not None:
-        return max(1, min(jobs, pending))
-    if pending < PARALLEL_THRESHOLD:
-        return 1
-    cpus = multiprocessing.cpu_count()
-    return max(1, min(cpus - 1, 8, pending))
-
-
-def _fork_available() -> bool:
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
+def _lint_block(positions: List[int]) -> bytes:
+    """Analyze one contiguous block of pending files, in the caller or a
+    forked child; the block's ``(violations, index)`` list travels back
+    pickled."""
+    pending, module_rule_ids = _LINT_CONTEXT
+    return pickle.dumps(
+        [
+            _analyze_source(source, path, display, module_rule_ids)
+            for path, display, _, source in (pending[p] for p in positions)
+        ]
+    )
 
 
 def lint_paths(
@@ -383,7 +356,6 @@ def lint_paths(
     rule_ids: Optional[Sequence[str]] = None,
     *,
     cache_path=None,
-    jobs: Optional[int] = None,
 ) -> LintReport:
     """Lint *paths* with the selected rules and return a report.
 
@@ -396,11 +368,8 @@ def lint_paths(
         with a path, unchanged files (by content hash) reuse their
         per-file results and index, and only changed files are
         re-parsed — project rules always re-run over all indexes.
-    jobs:
-        Process-pool width for per-file analysis.  ``None`` picks
-        automatically (serial below 64 pending files); ``1`` forces
-        serial analysis.
     """
+    global _LINT_CONTEXT
     rules = build_rules(rule_ids)
     module_rule_ids = tuple(
         rule.rule_id for rule in rules if not isinstance(rule, ProjectRule)
@@ -431,50 +400,30 @@ def lint_paths(
                     entry.index,
                 )
                 continue
-        pending.append((path, display, file_hash, data.decode("utf-8")))
+        try:
+            source = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise AnalysisError(f"cannot decode {path} as UTF-8: {exc}")
+        pending.append((path, display, file_hash, source))
 
-    workers = _pool_size(jobs, len(pending))
-    if workers > 1 and _fork_available():
-        import multiprocessing
-
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork")
-        ) as pool:
-            payloads = list(
-                pool.map(
-                    _analyze_file_payload,
-                    [str(path) for path, _, _, _ in pending],
-                    [display for _, display, _, _ in pending],
-                    [module_rule_ids] * len(pending),
-                    chunksize=8,
-                )
+    workers = _effective_workers(len(pending), len(pending)) if _fork_available() else 1
+    blocks = _block_partition(range(len(pending)), workers)
+    analyzed: List[Tuple[List[Violation], ModuleIndex]] = []
+    _LINT_CONTEXT = (pending, module_rule_ids)
+    try:
+        for payload in fork_blocks(_lint_block, blocks) if blocks else ():
+            analyzed.extend(pickle.loads(payload))
+    finally:
+        _LINT_CONTEXT = None
+    for (_, display, file_hash, _), (violations, index) in zip(pending, analyzed):
+        per_file[display] = (violations, index)
+        if cache is not None:
+            cache.put(
+                display,
+                CacheEntry(
+                    file_hash, [violation.to_json() for violation in violations], index
+                ),
             )
-        for (path, display, file_hash, _), payload in zip(pending, payloads):
-            violations = [
-                Violation.from_json(item) for item in payload["violations"]
-            ]
-            index = ModuleIndex.from_json(payload["index"])
-            per_file[display] = (violations, index)
-            if cache is not None:
-                cache.put(
-                    display,
-                    CacheEntry(file_hash, list(payload["violations"]), index),
-                )
-    else:
-        for path, display, file_hash, source in pending:
-            violations, index = _analyze_source(
-                source, path, display, module_rule_ids
-            )
-            per_file[display] = (violations, index)
-            if cache is not None:
-                cache.put(
-                    display,
-                    CacheEntry(
-                        file_hash,
-                        [violation.to_json() for violation in violations],
-                        index,
-                    ),
-                )
 
     project = ProjectIndex([per_file[display][1] for display in displays])
 
@@ -506,20 +455,3 @@ def lint_paths(
         analyzed_files=len(pending),
         cached_files=len(files) - len(pending),
     )
-
-
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """Render an attribute/name chain like ``np.random.default_rng``.
-
-    Returns ``None`` for expressions that are not plain dotted names
-    (calls, subscripts, ...), which rules treat as "not a match".
-    """
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        return ".".join(reversed(parts))
-    return None

@@ -13,13 +13,12 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, List, Set
 
-from repro.analysis.graph import ModuleIndex, ProjectIndex, RNG_CONSTRUCTORS
+from repro.analysis.graph import ModuleIndex, ProjectIndex, RNG_CONSTRUCTORS, dotted
 from repro.analysis.linter import (
     LintRule,
     ModuleUnit,
     ProjectRule,
     Violation,
-    dotted_name,
     register_rule,
     registered_rule_ids,
 )
@@ -38,10 +37,6 @@ CONSTRUCTOR_VOCABULARY = {
     "propensity_source",
     "rng",
 }
-
-#: Re-exported for backward compatibility (the allow-list moved to
-#: :mod:`repro.analysis.graph` so the index extractor shares it).
-_RNG_CONSTRUCTORS = RNG_CONSTRUCTORS
 
 
 def _walk_calls(tree: ast.Module) -> Iterator[ast.Call]:
@@ -93,7 +88,7 @@ class NoUnseededRandomness(LintRule):
                         )
                     )
         for call in _walk_calls(unit.tree):
-            name = dotted_name(call.func)
+            name = dotted(call.func)
             if name is None:
                 continue
             parts = name.split(".")
@@ -452,7 +447,7 @@ def _handler_names(handler: ast.ExceptHandler) -> List[str]:
     )
     names = []
     for node in nodes:
-        name = dotted_name(node)
+        name = dotted(node)
         if name is not None:
             names.append(name.split(".")[-1])
     return names
@@ -465,7 +460,7 @@ def _handler_reraises(handler: ast.ExceptHandler) -> bool:
 def _handler_surfaces(handler: ast.ExceptHandler) -> bool:
     for node in ast.walk(handler):
         if isinstance(node, ast.Call):
-            name = dotted_name(node.func)
+            name = dotted(node.func)
             if name is not None and name.split(".")[-1] in _SURFACING_CALLS:
                 return True
     return False
@@ -705,7 +700,7 @@ class NoMutableDefaultArgs(LintRule):
         if isinstance(node, (ast.List, ast.Dict, ast.Set)):
             return True
         if isinstance(node, ast.Call):
-            name = dotted_name(node.func)
+            name = dotted(node.func)
             return (
                 name is not None
                 and name.split(".")[-1] in self._MUTABLE_CALLS

@@ -25,7 +25,7 @@ file to the on-disk sharded format of :mod:`repro.store`;
 ``repro all`` runs everything at paper scale and prints the
 tables EXPERIMENTS.md records;
 ``repro lint [--rules REP001,...] [--format text|json|sarif]
-[--cache [PATH]] [--jobs N] PATH...`` runs the :mod:`repro.analysis` linter
+[--cache [PATH]] PATH...`` runs the :mod:`repro.analysis` linter
 (exit 0 clean, 1 violations, 2 usage).
 """
 
@@ -258,16 +258,6 @@ def main(argv: list[str] | None = None) -> int:
             ".repro-lint-cache.json); unchanged files are not re-analyzed"
         ),
     )
-    lint_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "process-pool width for per-file analysis (default: automatic; "
-            "1 forces serial)"
-        ),
-    )
 
     serve_parser = subparsers.add_parser(
         "serve",
@@ -437,9 +427,7 @@ def _run_lint(arguments) -> int:
     if cache_path == "__default__":
         cache_path = DEFAULT_CACHE_PATH
     try:
-        report = lint_paths(
-            arguments.paths, rule_ids, cache_path=cache_path, jobs=arguments.jobs
-        )
+        report = lint_paths(arguments.paths, rule_ids, cache_path=cache_path)
         print(render(report, arguments.output_format))
     except AnalysisError as exc:
         print(f"repro lint: error: {exc}", file=sys.stderr)

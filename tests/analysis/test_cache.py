@@ -1,12 +1,15 @@
-"""Tests for the incremental engine: content-hash cache and parallel jobs."""
+"""Tests for the incremental engine: content-hash cache and forked blocks."""
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import os
 
-from repro.analysis import lint_paths, registered_rule_ids
+import pytest
+
+from repro.analysis import linter, lint_paths, registered_rule_ids
 from repro.analysis.cache import LintCache, content_hash, ruleset_signature
+from repro.errors import AnalysisError
 
 CLEAN = '"""Doc."""\n\nVALUE = 1\n'
 BAD = '"""Doc."""\n\nassert True\n'
@@ -123,10 +126,54 @@ class TestIncrementalRuns:
 
 
 class TestJobs:
-    def test_serial_and_parallel_agree(self, tmp_path):
+    """Per-file analysis runs in blocks through ``fork_blocks``; the
+    worker cap is forced here so a 2-CPU runner still forks."""
+
+    @staticmethod
+    def cap_workers(monkeypatch, cap):
+        """Force *cap* blocks and record each ``fork_blocks`` call's count."""
+        counts = []
+        fork_blocks = linter.fork_blocks
+
+        def recorded(work, blocks):
+            counts.append(len(blocks))
+            return fork_blocks(work, blocks)
+
+        monkeypatch.setattr(
+            linter, "_effective_workers", lambda workers, tasks: min(cap, tasks)
+        )
+        monkeypatch.setattr(linter, "fork_blocks", recorded)
+        return counts
+
+    def test_serial_and_parallel_agree(self, tmp_path, monkeypatch):
         files = {f"mod_{i:02d}.py": (CLEAN if i % 3 else BAD) for i in range(12)}
+        write_tree(tmp_path / "tree", files)
+        reports, entries = [], []
+        for cap in (1, 4):
+            counts = self.cap_workers(monkeypatch, cap)
+            cache = tmp_path / f"cache-{cap}.json"
+            reports.append(lint_paths([str(tmp_path / "tree")], cache_path=cache))
+            entries.append(json.loads(cache.read_text())["files"])
+            assert counts == [cap]
+        assert reports[0].to_json() == reports[1].to_json()
+        assert entries[0] == entries[1]
+        assert reports[0].checked_files == 12
+        assert [v.rule_id for v in reports[0].violations] == ["REP002"] * 4
+
+    def test_unparsable_file_in_a_child_block_raises_as_in_one_process(
+        self, tmp_path, monkeypatch
+    ):
+        files = {f"mod_{i:02d}.py": CLEAN for i in range(7)}
+        files["zz_broken.py"] = '"""Doc."""\n\ndef broken(:\n'
         write_tree(tmp_path, files)
-        serial = lint_paths([str(tmp_path)], jobs=1)
-        parallel = lint_paths([str(tmp_path)], jobs=4)
-        assert serial.violations == parallel.violations
-        assert serial.checked_files == parallel.checked_files == 12
+        errors = []
+        for cap in (1, 4):
+            counts = self.cap_workers(monkeypatch, cap)
+            with pytest.raises(AnalysisError) as caught:
+                lint_paths([str(tmp_path)])
+            errors.append(str(caught.value))
+            assert counts == [cap]
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert errors[0] == errors[1]
+        assert "zz_broken.py:3: does not parse" in errors[0]

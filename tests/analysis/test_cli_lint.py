@@ -1,4 +1,4 @@
-"""CLI tests for `repro lint`: --rules, --format, --cache."""
+"""CLI tests for `repro lint`: --rules, --format, --cache, undecodable files."""
 
 from __future__ import annotations
 
@@ -88,3 +88,13 @@ class TestCacheFlag:
         assert code == 1
         assert "REP002" in out
         assert "cache: 2 hit(s), 1 analyzed" in out
+
+
+class TestUndecodableSource:
+    def test_non_utf8_file_is_a_usage_error_naming_the_file(self, tmp_path, capsys):
+        target = tmp_path / "latin.py"
+        target.write_bytes(b"VALUE = '\xff'\n")
+        code = main(["lint", str(target)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"cannot decode {target}" in err

@@ -83,6 +83,7 @@ class TestRep011ForkSafety:
         names = {root.replace("\\", "/") for root in roots}
         assert any(n.endswith("store/streaming.py::_stream_block") for n in names)
         assert any(n.endswith("experiments/harness.py::_run_block") for n in names)
+        assert any(n.endswith("analysis/linter.py::_lint_block") for n in names)
 
     def test_mutation_without_pool_path_not_flagged(self):
         # Module mutation alone (REP010 helpers write nothing; use the

@@ -11,6 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.analysis import lint_paths
+from repro.analysis.graph import ModuleIndex, build_module_index
 from repro.analysis.linter import ModuleUnit, build_noqa_map, parse_noqa_codes
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -64,34 +65,35 @@ class TestParseNoqaCodes:
 
 
 class TestSuppression:
-    def make_unit(self, source: str) -> ModuleUnit:
-        return ModuleUnit(path=Path("mem.py"), display="mem.py", source=source)
+    def make_index(self, source: str) -> ModuleIndex:
+        unit = ModuleUnit(path=Path("mem.py"), display="mem.py", source=source)
+        return build_module_index(unit.tree, "mem.py", ("mem.py",), noqa=unit.noqa)
 
     def test_bare_noqa_suppresses_everything(self):
-        unit = self.make_unit('"""Doc."""\nassert True  # noqa\n')
-        assert unit.suppressed(2, "REP002")
-        assert unit.suppressed(2, "REP001")
+        index = self.make_index('"""Doc."""\nassert True  # noqa\n')
+        assert index.suppressed(2, "REP002")
+        assert index.suppressed(2, "REP001")
 
     def test_listed_codes_suppress_only_themselves(self):
-        unit = self.make_unit('"""Doc."""\nassert True  # noqa: REP002\n')
-        assert unit.suppressed(2, "REP002")
-        assert not unit.suppressed(2, "REP001")
+        index = self.make_index('"""Doc."""\nassert True  # noqa: REP002\n')
+        assert index.suppressed(2, "REP002")
+        assert not index.suppressed(2, "REP001")
 
     def test_rule_lists_cover_each_member(self):
-        unit = self.make_unit(
+        index = self.make_index(
             '"""Doc."""\nassert True  # noqa: REP001,REP002\n'
         )
-        assert unit.suppressed(2, "REP001")
-        assert unit.suppressed(2, "REP002")
-        assert not unit.suppressed(2, "REP004")
+        assert index.suppressed(2, "REP001")
+        assert index.suppressed(2, "REP002")
+        assert not index.suppressed(2, "REP004")
 
     def test_codes_match_case_insensitively(self):
-        unit = self.make_unit('"""Doc."""\nassert True  # noqa: rep002\n')
-        assert unit.suppressed(2, "REP002")
+        index = self.make_index('"""Doc."""\nassert True  # noqa: rep002\n')
+        assert index.suppressed(2, "REP002")
 
     def test_unrelated_lines_not_suppressed(self):
-        unit = self.make_unit('"""Doc."""\nassert True  # noqa: REP002\n')
-        assert not unit.suppressed(1, "REP002")
+        index = self.make_index('"""Doc."""\nassert True  # noqa: REP002\n')
+        assert not index.suppressed(1, "REP002")
 
     def test_build_noqa_map_lines(self):
         noqa = build_noqa_map(
