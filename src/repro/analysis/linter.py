@@ -411,7 +411,7 @@ def lint_paths(
     analyzed: List[Tuple[List[Violation], ModuleIndex]] = []
     _LINT_CONTEXT = (pending, module_rule_ids)
     try:
-        for payload in fork_blocks(_lint_block, blocks) if blocks else ():
+        for payload in fork_blocks(_lint_block, blocks):
             analyzed.extend(pickle.loads(payload))
     finally:
         _LINT_CONTEXT = None

@@ -6,13 +6,14 @@ and the DR/SNDR gather-columns-reduce-once reductions — lives here once,
 so an estimator that needs new arithmetic has one obvious place to add
 it.
 
-These are the historical inline expressions, moved verbatim.  Nothing
-in this module may be "optimised" in a way that changes rounding:
+The float kernels are the historical inline expressions, moved
+verbatim; none may be "optimised" in a way that changes rounding:
 ``np.add.at`` accumulates in index order, elementwise ufunc chains round
 after every operation (no FMA), and the ridge solve keeps its exact
 centring → gram → solve sequence.  The stream-vs-dense, parallel and
 live equivalence suites compare estimates byte for byte and would catch
-a last-ulp drift.
+a last-ulp drift.  The integer :func:`first_seen_codes` answers to a
+pure-Python dict oracle in ``tests/kernels/test_first_seen.py``.
 """
 
 from __future__ import annotations
@@ -57,19 +58,33 @@ def bucket_accumulate(
 def first_seen_codes(*keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(codes, firsts)``: first-seen-order codes of the distinct rows of
     aligned integer key columns, and each code's first position.  Keys
-    combine mixed-radix, re-densified by a 1-D :func:`numpy.unique` after
-    each column, so the combined key stays below ``n**2``.
+    combine mixed-radix.  A column, or combined key, spanning more than
+    ``n`` values (``id()`` keys, ``f8`` bit patterns) is densified by
+    :func:`numpy.unique`; a narrower one is shifted by its minimum.
+    ``np.minimum.at`` finds each row's first position; only the distinct
+    first positions are sorted.
     """
-    codes = None
+    n = len(keys[0])
+    if not n:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    row, width = 0, 1
     for key in keys:
-        if codes is not None:
+        low, high = int(key.min()), int(key.max())
+        if high - low < n:
+            key, size = np.subtract(key, low, dtype=np.intp), high - low + 1
+        else:
             _, key = np.unique(key, return_inverse=True)
-            key = codes * (int(key.max(initial=0)) + 1) + key
-        _, firsts, codes = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(firsts)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rank[codes], firsts[order]
+            size = int(key.max()) + 1
+        row, width = row * size + key, width * size
+        if width > n:
+            _, row = np.unique(row, return_inverse=True)
+            width = int(row.max()) + 1
+    first = np.full(width, n, dtype=np.intp)
+    np.minimum.at(first, row, np.arange(n))
+    firsts = np.sort(first[first < n])
+    rank = np.empty(width, dtype=np.intp)
+    rank[row[firsts]] = np.arange(firsts.size)
+    return rank[row], firsts
 
 
 def importance_ratio(new: np.ndarray, old: np.ndarray) -> np.ndarray:

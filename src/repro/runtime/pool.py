@@ -108,6 +108,8 @@ def fork_blocks(work: Callable[[object], bytes], blocks: Sequence) -> Iterator[b
     A child's exception re-raises as itself, and a child that dies without
     answering is a :class:`~repro.errors.WorkerError` naming its block.  On
     any failure every running child is killed and reaped."""
+    if not blocks:
+        return
     children: Dict[int, Tuple[int, int]] = {}
     # Collector passes were a measured cause of parallel losing to
     # sequential: the pause spans every block, as children inherit it.

@@ -116,13 +116,21 @@ def _canonical(value: Any) -> Any:
     return value
 
 
-def _distinct(objects: np.ndarray) -> Tuple[np.ndarray, List[Any]]:
-    """First-seen codes of an object column's distinct objects, and the
-    objects in code order.  By identity, never ``==``: ``ClientContext(a=1)
-    == ClientContext(a=True)``, yet the two must write different values."""
+def _distinct(objects: Sequence[Any]) -> Tuple[np.ndarray, List[Any]]:
+    """An object column as (codes, distinct objects), coded by identity,
+    never ``==``: ``ClientContext(a=1) == ClientContext(a=True)``, yet the
+    two must write different values."""
     ids = np.fromiter(map(id, objects), dtype=np.intp, count=len(objects))
     codes, firsts = kernels.first_seen_codes(ids)
     return codes, [objects[index] for index in firsts.tolist()]
+
+
+def _first_seen(column: Tuple) -> Tuple[np.ndarray, List[Any]]:
+    """A (codes, objects) column recoded in first-seen order: the codes,
+    and the objects they name in code order."""
+    codes, objects = column
+    dense, firsts = kernels.first_seen_codes(codes)
+    return dense, [objects[code] for code in codes[firsts].tolist()]
 
 
 def _code_entries(
@@ -185,8 +193,8 @@ def _summary(values: np.ndarray) -> Dict[str, float]:
     }
 
 
-#: A shard's columns as :func:`encode_shard` takes them: ``float64``
-#: arrays, then object arrays of each record's decision, context, state.
+#: A shard's columns as :func:`encode_shard` takes them: ``float64`` arrays,
+#: then ``(codes, objects)`` pairs (record *i* holds ``objects[codes[i]]``).
 SHARD_COLUMNS = (
     "rewards", "propensities", "timestamps", "decisions", "contexts", "states"
 )
@@ -198,8 +206,8 @@ def encode_shard(
     feature_names: Sequence[str],
 ) -> Tuple[bytes, Dict[str, Any]]:
     """Encode one shard's :data:`SHARD_COLUMNS` into npz bytes plus its
-    manifest entry.  Object columns are coded once per distinct object,
-    then spread over the records with numpy.
+    manifest entry.  Object columns are recoded in first-seen order, each
+    code's object encoded once, then spread over the records with numpy.
 
     Deterministic: the same records in the same order always produce the
     same bytes, the same checksum, and the same entry (minus ``file``,
@@ -208,11 +216,11 @@ def encode_shard(
     """
     arrays = {n: np.asarray(columns[n], dtype=np.float64) for n in SHARD_COLUMNS[:3]}
     for name, prefix in (("decisions", "decision"), ("states", "state")):
-        codes, values = _distinct(columns[name])
+        codes, values = _first_seen(columns[name])
         arrays[f"{prefix}_codes"], arrays[f"{prefix}_vocab"] = _code_entries(
             [_canonical(value) for value in values], codes, name == "states"
         )
-    codes, contexts = _distinct(columns["contexts"])
+    codes, contexts = _first_seen(columns["contexts"])
     feature_kinds: List[str] = []
     for feature_index, name in enumerate(feature_names):
         column = [_canonical(context[name]) for context in contexts]
@@ -235,40 +243,48 @@ def encode_shard(
     return data, entry
 
 
-def _objects(values: Sequence[Any]) -> np.ndarray:
-    """*values* as a 1-d object array (tuples stay elements)."""
-    return np.fromiter(values, dtype=object, count=len(values))
-
-
-def records_columns(records: Sequence[TraceRecord]) -> Dict[str, np.ndarray]:
+def records_columns(records: Sequence[TraceRecord]) -> Dict[str, Any]:
     """The :data:`SHARD_COLUMNS` of *records*: the one conversion every
     record writer goes through.  A missing propensity or timestamp
     becomes ``nan``, as the shard stores it."""
     fields = (list(map(operator.attrgetter(f), records)) for f in _RECORD_FIELDS)
     return {
-        name: np.array(values, dtype=np.float64) if index < 3 else _objects(values)
+        name: np.array(values, dtype=np.float64) if index < 3 else _distinct(values)
         for index, (name, values) in enumerate(zip(SHARD_COLUMNS, fields))
     }
 
 
-def batch_columns(batch) -> Dict[str, np.ndarray]:
-    """The :data:`SHARD_COLUMNS` of a live ``StreamBatch``, gathered from
-    its code arrays, after :class:`TraceRecord`'s checks on whole
+def batch_columns(batch) -> Dict[str, Any]:
+    """The :data:`SHARD_COLUMNS` of a live ``StreamBatch``, its codes with
+    their shared vocabularies, after :class:`TraceRecord`'s checks on whole
     columns (``nan`` fails both).  A ``nan`` timestamp, which a record
     stores as ``None``, is written as the canonical ``nan``."""
     if not np.isfinite(batch.rewards).all():
         raise TraceError("batch rewards must be finite")
     if not ((batch.propensities > 0.0) & (batch.propensities <= 1.0 + 1e-12)).all():
         raise TraceError("batch propensities must lie in (0, 1]")
-    states = [None] * len(batch) if batch.states is None else batch.states
     return {
         "rewards": batch.rewards,
         "propensities": batch.propensities,
         "timestamps": np.where(np.isnan(batch.timestamps), np.nan, batch.timestamps),
-        "decisions": _objects(batch.decisions_vocabulary)[batch.decision_codes],
-        "contexts": _objects(batch.contexts_vocabulary)[batch.context_codes],
-        "states": _objects(states),
+        "decisions": (batch.decision_codes, batch.decisions_vocabulary),
+        "contexts": (batch.context_codes, batch.contexts_vocabulary),
+        "states": (np.zeros(len(batch), dtype=np.intp), (None,))
+        if batch.states is None
+        else _distinct(batch.states),
     }
+
+
+def _joined(pairs: List[Tuple]) -> Tuple[np.ndarray, List[Any]]:
+    """Pieces' ``(codes, objects)`` pairs as one: each objects sequence
+    once (by identity), every piece's codes offset to its sequence's start."""
+    offsets: Dict[int, int] = {}
+    objects: List[Any] = []
+    for _, sequence in pairs:
+        if id(sequence) not in offsets:
+            offsets[id(sequence)] = len(objects)
+            objects.extend(sequence)
+    return np.concatenate([codes + offsets[id(seq)] for codes, seq in pairs]), objects
 
 
 class ShardWriter:
@@ -321,6 +337,7 @@ class ShardWriter:
             )
         self._shard_size = int(shard_size)
         self._feature_names: Optional[Tuple[str, ...]] = None
+        self._vetted: Tuple[Any, Any] = (None, None)  # contexts, mismatch mask
         self._pieces: List[Any] = []  # batch columns, or runs of records
         self._buffered = 0
         self._shards: List[Dict[str, Any]] = []
@@ -350,7 +367,7 @@ class ShardWriter:
         if self._closed:
             raise StoreError("ShardWriter is closed")
         if record.context.keys() != self._feature_names:
-            self._check_schema((record.context,))
+            self._check_schema((record.context,), [0])
         if not self._pieces or not isinstance(self._pieces[-1], list):
             self._pieces.append([])
         self._pieces[-1].append(record)
@@ -371,29 +388,37 @@ class ShardWriter:
         if self._closed:
             raise StoreError("ShardWriter is closed")
         columns = batch_columns(source)
-        cells = [source.contexts_vocabulary[c] for c in np.unique(source.context_codes)]
-        self._check_schema(columns["contexts"], cells)
+        self._check_schema(source.contexts_vocabulary, source.context_codes)
         start, size = 0, len(source)
         while start < size:
             stop = min(size, start + self._shard_size - self._buffered)
-            self._pieces.append({k: v[start:stop] for k, v in columns.items()})
+            piece = {n: columns[n][start:stop] for n in SHARD_COLUMNS[:3]}
+            for n in SHARD_COLUMNS[3:]:
+                piece[n] = (columns[n][0][start:stop], columns[n][1])
+            self._pieces.append(piece)
             self._buffered += stop - start
             start = stop
             if self._buffered >= self._shard_size:
                 self._flush_shard()
 
-    def _check_schema(self, contexts: Sequence[Any], distinct: Any = None) -> None:
+    def _check_schema(self, contexts: Sequence[Any], codes: Sequence[int]) -> None:
         """The first record fixes the schema; every later one must match.
-        *distinct*, when given, holds each context *contexts* uses once."""
-        if self._feature_names is None and len(contexts):
-            self._feature_names = contexts[0].keys()
+        Record *i*'s context is ``contexts[codes[i]]``; a vocabulary that
+        batches share is vetted once."""
+        if not len(codes):
+            return
+        if self._feature_names is None:
+            self._feature_names = contexts[codes[0]].keys()
         schema = self._feature_names
-        if any(c.keys() != schema for c in (distinct or contexts)):
-            index = next(i for i, c in enumerate(contexts) if c.keys() != schema)
+        if self._vetted[0] is not contexts:
+            self._vetted = (contexts, np.array([c.keys() != schema for c in contexts]))
+        wrong = self._vetted[1][codes]
+        if wrong.any():
+            index = int(wrong.argmax())
             raise TraceError(
                 "sharded traces require one feature schema; record "
                 f"{self._total + self._buffered + index} has "
-                f"{contexts[index].keys()}, expected {schema}"
+                f"{contexts[codes[index]].keys()}, expected {schema}"
             )
 
     def _journal_append(self, payload: Dict[str, Any]) -> None:
@@ -417,7 +442,8 @@ class ShardWriter:
     def _flush_shard(self) -> None:
         pieces, self._pieces, self._buffered = self._pieces, [], 0
         pieces = [records_columns(p) if isinstance(p, list) else p for p in pieces]
-        columns = {n: np.concatenate([p[n] for p in pieces]) for n in SHARD_COLUMNS}
+        columns = {n: np.concatenate([p[n] for p in pieces]) for n in SHARD_COLUMNS[:3]}
+        columns.update((n, _joined([p[n] for p in pieces])) for n in SHARD_COLUMNS[3:])
         index = len(self._shards)
         path = self._directory / shard_filename(index)
         with span("store.write.shard", shard=index):

@@ -131,13 +131,10 @@ def decode_shard(
             _decode_value(value) for value in json.loads(decision_vocab)
         )
         decisions = tuple(_gathered(vocabulary, decision_codes))
-        state_vocabulary = [
-            _decode_value(value) for value in json.loads(state_vocab)
-        ]
-        states: List[Any] = [
-            None if code < 0 else state_vocabulary[code]
-            for code in state_codes.tolist()
-        ]
+        # Code -1 is None: shifted by one, it indexes a leading None.
+        states = _gathered(
+            [None, *map(_decode_value, json.loads(state_vocab))], state_codes + 1
+        )
         context_codes, contexts = _interned_contexts(
             raw_features, count, feature_names
         )

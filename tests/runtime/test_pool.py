@@ -99,6 +99,14 @@ class TestForkBlocks:
         monkeypatch.setattr(os, "fork", refuse)
         assert [pickle.loads(p) for p in fork_blocks(squares, [[3]])] == [[9]]
 
+    def test_no_blocks_yield_nothing(self, monkeypatch):
+        def refuse():
+            raise AssertionError("forked for no blocks")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        assert list(fork_blocks(squares, [])) == []
+        assert gc.isenabled()
+
     def test_collector_paused_for_the_blocks_only(self):
         states = [pickle.loads(p) for p in fork_blocks(collector_state, BLOCKS)]
         assert states == [False, False, False]

@@ -290,3 +290,49 @@ class TestVerifyAndRepairDecodeLikeTheReader:
         assert report.kept == [shard_filename(1)]
         assert [name for name, _ in report.dropped] == [shard_filename(0)]
         assert len(ShardedTrace(directory).materialize()) == 12
+
+
+class TestStateCodes:
+    """``state_codes`` give ``-1`` a meaning (``None``); every other code
+    must index the state vocabulary, like any other coded column."""
+
+    @pytest.fixture
+    def directory(self, tmp_path):
+        directory = tmp_path / "s"
+        core.Trace(
+            core.TraceRecord(
+                context=core.ClientContext(x=1.0), decision="d0", reward=0.0,
+                state=state,
+            )
+            for state in (None, "s0", "s1")
+        ).to_shards(directory)
+        return directory
+
+    def _reseal(self, directory, codes):
+        def damage(arrays):
+            arrays["state_codes"][:] = codes
+
+        _rewrite_shard(directory, damage)
+
+    def test_minus_one_decodes_as_none(self, directory):
+        self._reseal(directory, [-1, 1, 0])
+        states = [record.state for record in ShardedTrace(directory).materialize()]
+        assert states == [None, "s1", "s0"]
+
+    @pytest.mark.parametrize("codes", [[-2, 0, 1], [0, 1, 7], [0, 1, 2]])
+    def test_code_outside_minus_one_to_vocabulary_is_a_decode_error(
+        self, directory, codes
+    ):
+        self._reseal(directory, codes)
+        with pytest.raises(ShardDecodeError, match="would not decode"):
+            ShardedTrace(directory).materialize()
+
+    def test_verify_reports_the_shard(self, directory, capsys):
+        from repro.cli import main
+
+        self._reseal(directory, [-2, 0, 1])
+        assert [shard.kind for shard in verify_store(directory).shards] == [
+            "undecodable"
+        ]
+        assert main(["verify", str(directory)]) == 1
+        assert shard_filename(0) in capsys.readouterr().out
