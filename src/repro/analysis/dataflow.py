@@ -238,8 +238,8 @@ class ForkSafety(ProjectRule):
         return set(project.resolve_call(index, caller, synthetic))
 
 
-#: The estimator base whose default ``_estimate`` assembles the dense
-#: path from the streaming hooks (see ``core/estimators/base.py``).
+#: The estimator base whose ``estimate`` runs the streaming hooks for
+#: every trace (see ``core/estimators/base.py``).
 _ESTIMATOR_BASE = "OffPolicyEstimator"
 _STREAM_PAIR = ("_stream_chunk", "_stream_finalize")
 
@@ -280,8 +280,7 @@ class BatchStreamParity(ProjectRule):
     ) -> Dict[str, str]:
         """Method name -> owning class for every *real* implementation in
         the ancestry, excluding the estimator base (whose stream hooks
-        are raise-only placeholders and whose ``_estimate`` is the
-        generic assembler, not a dense path)."""
+        are raise-only placeholders)."""
         implemented: Dict[str, str] = {}
         for _, ancestor in project.ancestry(class_name):
             if ancestor.name == _ESTIMATOR_BASE:

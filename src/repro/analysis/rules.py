@@ -151,14 +151,14 @@ class EstimatorInterfaceComplete(ProjectRule):
     """REP003 — estimator subclasses honour the interface and are exported.
 
     A concrete :class:`OffPolicyEstimator` subclass must implement the
-    estimation hook (``_estimate``, an ``estimate`` override, or the
-    streaming ``_stream_chunk``/``_stream_finalize`` pair the base class
-    assembles into a dense ``_estimate``) — an estimator that cannot
-    estimate is a latent failure at call time — and, when it lives in
-    the ``core/estimators`` package, must appear in that package's
-    ``__all__`` so the public surface stays in sync with the
-    implementations and must keep its ``__init__`` keywords inside the
-    canonical vocabulary (:data:`CONSTRUCTOR_VOCABULARY`) the
+    estimation hook (the streaming ``_stream_chunk``/``_stream_finalize``
+    pair the base class runs through the chunk engine for every trace,
+    a dense-only ``_estimate``, or an ``estimate`` override) — an
+    estimator that cannot estimate is a latent failure at call time —
+    and, when it lives in the ``core/estimators`` package, must appear
+    in that package's ``__all__`` so the public surface stays in sync
+    with the implementations and must keep its ``__init__`` keywords
+    inside the canonical vocabulary (:data:`CONSTRUCTOR_VOCABULARY`) the
     :mod:`repro.api` registry builds against — a divergent spelling such
     as ``max_weight=`` or ``tau=``, or a ``**kwargs`` catch-all that
     accepts any spelling, breaks the facade's uniform ``model=``/``clip=``
@@ -317,8 +317,8 @@ class EstimatorInterfaceComplete(ProjectRule):
 
     def _implements_estimate(self, project: ProjectIndex, name: str) -> bool:
         # Either of the classic hooks suffices, as does the streaming
-        # pair (the base class turns _stream_chunk/_stream_finalize into
-        # a dense _estimate by treating the whole trace as one chunk).
+        # pair (the base class runs _stream_chunk/_stream_finalize for
+        # an in-memory trace too, as one chunk).
         implemented: Set[str] = set()
         for _, ancestor in project.ancestry(name):
             if ancestor.name == ESTIMATOR_BASE:

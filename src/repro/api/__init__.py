@@ -247,11 +247,11 @@ def compare(
     their own options instead).  *policy* accepts the same spec forms as
     :func:`evaluate`, and *diagnostics* behaves as there.
 
-    On a chunked trace the panel is one
-    :class:`~repro.store.streaming.PanelPass`: each chunk is read once
-    for every member and the overlap columns, through one fork pool when
-    ``REPRO_STREAM_WORKERS`` asks for one, and the report is byte-identical
-    to the dense path's.
+    The panel is one :class:`~repro.store.streaming.PanelPass`: each
+    chunk (an in-memory trace is one) is read once for every member and
+    the overlap columns, through one fork pool when
+    ``REPRO_STREAM_WORKERS`` asks for one on a chunked trace, and the
+    report is byte-identical for every chunking.
     """
     registry = registry or default_registry
     if len(trace) == 0:

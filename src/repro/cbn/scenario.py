@@ -19,6 +19,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.core.policy import Policy, TabularPolicy
 from repro.core.spaces import ProductDecisionSpace
 from repro.core.types import ClientContext, Decision, Trace, TraceRecord
@@ -161,11 +162,24 @@ class WiseScenario:
         return Trace(records)
 
     def ground_truth_value(self, policy: Policy, trace: Trace) -> float:
-        """Exact V(policy, T) using the noise-free mean response times."""
-        total = 0.0
-        for record in trace:
-            isp = record.context["isp"]
-            for decision, probability in policy.probabilities(record.context).items():
-                if probability > 0:
-                    total += probability * self.true_mean_response(isp, decision)
-        return total / len(trace)
+        """Exact V(policy, T) using the noise-free mean response times.
+
+        Each distinct context's ``p · mean`` terms are computed once and
+        gathered per record; ``np.cumsum`` adds them left to right, the
+        same additions as a per-record loop from ``0.0``.
+        """
+        columns = trace.columns()
+        codes, firsts = kernels.first_seen_codes(columns.context_codes)
+        terms = [
+            np.asarray(
+                [
+                    p * self.true_mean_response(context["isp"], decision)
+                    for decision, p in policy.probabilities(context).items()
+                    if p > 0
+                ],
+                dtype=float,
+            )
+            for context in (columns.contexts[first] for first in firsts.tolist())
+        ]
+        flat = np.concatenate([terms[code] for code in codes.tolist()])
+        return float(np.cumsum(flat)[-1]) / len(trace)

@@ -17,11 +17,7 @@ import numpy as np
 
 from repro.core.estimators.base import checked_importance_ratio, weight_diagnostics
 from repro.core.policy import Policy
-from repro.core.propensity import (
-    PropensityModel,
-    PropensitySource,
-    resolve_propensity_source,
-)
+from repro.core.propensity import PropensityModel, PropensitySource
 from repro.core.types import Decision, Trace
 from repro.errors import PropensityError
 
@@ -115,22 +111,19 @@ def overlap_report(
 ) -> OverlapReport:
     """Compute an :class:`OverlapReport` for evaluating *new_policy* on *trace*.
 
-    A chunked trace is never materialised: its columns come from one
-    streaming pass (:func:`repro.store.streaming.stream_overlap`, shared
-    with the estimators of an ``api.compare`` panel), gathered per record
-    and reduced once so every chunking agrees; a quarantining reader's
-    accounted shortfall is reported over the surviving records.
+    The columns come from one streaming pass
+    (:func:`repro.store.streaming.stream_overlap`, shared with the
+    estimators of an ``api.compare`` panel; an in-memory trace is one
+    chunk), gathered per record and reduced once so every chunking
+    agrees; a chunked trace is never materialised, and a quarantining
+    reader's accounted shortfall is reported over the surviving records.
     """
-    if hasattr(trace, "iter_chunks"):
-        # Imported lazily — repro.store depends on repro.core.
-        from repro.store.streaming import stream_overlap
+    # Imported lazily — repro.store depends on repro.core.
+    from repro.store.streaming import stream_overlap
 
-        old, new, matches, coverage = stream_overlap(
-            new_policy, trace, old_policy, propensity_model
-        )
-    else:
-        source = resolve_propensity_source(trace, old_policy, propensity_model)
-        old, new, matches, coverage = overlap_columns(new_policy, trace, source, 0)
+    old, new, matches, coverage = stream_overlap(
+        new_policy, trace, old_policy, propensity_model
+    )
     n = len(old)
     stats = weight_diagnostics(checked_importance_ratio(new, old))
     warnings: List[str] = []

@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro import kernels
 from repro.core.types import ClientContext, Decision, Trace
 from repro.errors import ModelError
 from repro.obs.spans import span
@@ -93,18 +94,18 @@ class RewardModel(abc.ABC):
 
         *columns* is a :class:`~repro.core.types.TraceColumns`;
         *positions* optionally restricts the prediction to those record
-        indices (in the given order).  The default delegates to
-        :meth:`predict_batch`; columnar models override this with a
-        vectorised path that must stay bit-identical to the default.
+        indices (in the given order).  The default asks
+        :meth:`predict_batch` once per distinct (context, decision) pair
+        and gathers the answers per record, which the batch contract
+        (bit-identical to the scalar hook) makes exact; columnar models
+        override this with a vectorised path that must stay bit-identical
+        to the default.
         """
-        contexts = columns.contexts
-        decisions = columns.decisions
-        if positions is None:
-            return self.predict_batch(contexts, decisions)
-        selected = [int(position) for position in positions]
-        return self.predict_batch(
-            [contexts[position] for position in selected],
-            [decisions[position] for position in selected],
+        return kernels.ask_distinct(
+            self.predict_batch,
+            (columns.context_codes, columns.decision_codes),
+            (columns.contexts, columns.decisions),
+            positions,
         )
 
     def predict_trace_for_decision(
@@ -115,13 +116,15 @@ class RewardModel(abc.ABC):
         This is the Direct-Method sweep's shape — one call per decision
         in the new policy's space — so columnar models can reuse their
         per-columns context encoding across the whole sweep.  Same
-        contract as :meth:`predict_trace` otherwise.
+        contract as :meth:`predict_trace` otherwise: the default asks
+        once per distinct context.
         """
-        contexts = columns.contexts
-        if positions is None:
-            return self.predict_batch(contexts, [decision] * len(contexts))
-        selected = [contexts[int(position)] for position in positions]
-        return self.predict_batch(selected, [decision] * len(selected))
+        return kernels.ask_distinct(
+            lambda contexts: self.predict_batch(contexts, [decision] * len(contexts)),
+            (columns.context_codes,),
+            (columns.contexts,),
+            positions,
+        )
 
 
 class OracleRewardModel(RewardModel):

@@ -72,15 +72,15 @@ class PolicyPropensitySource(PropensitySource):
     """Query a known old :class:`Policy` object."""
 
     def __init__(self, policy: Policy):
-        self._policy = policy
+        self.policy = policy
 
     def propensity(self, record: TraceRecord, index: int) -> float:
-        value = self._policy.propensity(record.decision, record.context)
+        value = self.policy.propensity(record.decision, record.context)
         return self.validate_positive(value, record)
 
     def propensity_batch(self, trace: Trace) -> np.ndarray:
         columns = trace.columns()
-        values = self._policy.propensity_batch(columns.decisions, columns.contexts)
+        values = self.policy.propensity_batch(columns.decisions, columns.contexts)
         return self.validate_positive_batch(values, trace)
 
 

@@ -67,8 +67,10 @@ def choice_from_probabilities(
         raise ValueError(
             f"{len(items)} items but {len(probabilities)} probabilities"
         )
-    total = float(np.sum(probabilities))
-    if not np.isclose(total, 1.0, atol=1e-6):
+    p = np.asarray(probabilities, dtype=float)
+    total = float(p.sum())
+    # np.isclose(total, 1.0, atol=1e-6) in scalar arithmetic; nan fails it.
+    if not abs(total - 1.0) <= 1e-6 + 1e-5:
         raise ValueError(f"probabilities sum to {total}, expected 1.0")
-    index = rng.choice(len(items), p=np.asarray(probabilities) / total)
+    index = rng.choice(len(items), p=p / total)
     return items[int(index)]

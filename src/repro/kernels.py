@@ -87,6 +87,23 @@ def first_seen_codes(*keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return rank[row], firsts
 
 
+def ask_distinct(call, codes, sequences, positions=None) -> np.ndarray:
+    """``call(*sequences)``, asked once per distinct row of the aligned
+    integer key columns *codes* and gathered back per row.
+
+    *call* gets each of *sequences* at the distinct rows' first
+    positions, in first-seen order, so it is exact whenever rows with
+    equal codes have equal answers.  With *positions*, only those rows
+    are answered, in that order.
+    """
+    if positions is not None:
+        positions = np.asarray(positions, dtype=np.intp)
+        codes = [key[positions] for key in codes]
+    inverse, firsts = first_seen_codes(*codes)
+    rows = (firsts if positions is None else positions[firsts]).tolist()
+    return np.asarray(call(*([s[row] for row in rows] for s in sequences)))[inverse]
+
+
 def importance_ratio(new: np.ndarray, old: np.ndarray) -> np.ndarray:
     """``mu_new / mu_old`` elementwise."""
     return new / old

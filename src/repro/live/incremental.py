@@ -12,7 +12,7 @@ being preallocated, and finalize can be asked for at any prefix.
 **The pinned guarantee** (``tests/live/test_incremental_equivalence.py``):
 after observing any sequence of chunks covering records ``[0, n)``, the
 result of :meth:`IncrementalEstimator.result` is **bit-identical** to
-``stream_estimate`` (and therefore to the dense path) over those same
+``stream_estimate`` (an in-memory trace included) over those same
 ``n`` records — value, std error, contributions, diagnostics.  The
 argument is the streaming engine's, unchanged: ``_stream_chunk`` columns
 are pure elementwise per-record functions, the buffers assemble them in

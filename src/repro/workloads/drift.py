@@ -142,7 +142,9 @@ class LiveTrafficGenerator:
         # Guard against rounding: the final cdf column is exactly 1 so a
         # uniform draw can never index past the last decision.
         self._decision_cdf[:, -1] = 1.0
-        self._reward_table = self._build_reward_table()
+        self._reward_table = self.workload.reward_table(
+            self.cells, self.decisions_vocabulary
+        )
         self._base_cell_cdf = self._cell_cdf(np.ones(len(self.cells)))
         self._crowd_cell_cdf = self._cell_cdf(self._crowd_weights())
         # coupled-rewards state: decision shares of the previous batch
@@ -162,15 +164,6 @@ class LiveTrafficGenerator:
         for combo in itertools.product(values, repeat=len(names)):
             cells.append(ClientContext(dict(zip(names, combo))))
         return tuple(cells)
-
-    def _build_reward_table(self) -> np.ndarray:
-        table = np.empty(
-            (len(self.cells), len(self.decisions_vocabulary)), dtype=float
-        )
-        for row, cell in enumerate(self.cells):
-            for column, decision in enumerate(self.decisions_vocabulary):
-                table[row, column] = self.workload.true_mean_reward(cell, decision)
-        return table
 
     def _cell_cdf(self, weights: np.ndarray) -> np.ndarray:
         cdf = np.cumsum(weights / weights.sum())

@@ -68,9 +68,14 @@ class SyntheticWorkload:
             )
         if self.interaction_scale < 0 or self.noise_scale < 0:
             raise SimulationError("scales must be non-negative")
-        # Memo for the (deterministic) reward surface; the dataclass is
-        # frozen, so attach the cache via object.__setattr__.
+        # Memo for the (deterministic) reward surface and the decision
+        # space; the dataclass is frozen, so attach via object.__setattr__.
         object.__setattr__(self, "_reward_cache", {})
+        object.__setattr__(
+            self,
+            "_space",
+            DecisionSpace(tuple(f"d{i}" for i in range(self.n_decisions))),
+        )
 
     # -- structure ---------------------------------------------------------------
 
@@ -80,8 +85,8 @@ class SyntheticWorkload:
         return tuple(f"f{i}" for i in range(self.n_features))
 
     def space(self) -> DecisionSpace:
-        """Decisions d0..d{n-1}."""
-        return DecisionSpace(tuple(f"d{i}" for i in range(self.n_decisions)))
+        """Decisions d0..d{n-1} (one shared instance)."""
+        return self._space
 
     def population(self) -> ClientPopulation:
         """Uniform categorical population over the feature grid."""
@@ -106,30 +111,45 @@ class SyntheticWorkload:
         the surface is identical across calls without materialising the
         full (cells x decisions) table.
         """
-        space = self.space()
-        decision_index = space.index_of(decision)
-        cell = tuple(int(str(context[name])[1:]) for name in self.feature_names)
-        cache_key = (cell, decision_index)
+        cache_key = (self._cell(context), self._space.index_of(decision))
         cached = self._reward_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        rng = np.random.default_rng(
-            [self.effect_seed, decision_index, 1]
-        )
-        value = self.base_reward + float(rng.normal(0.0, 1.0)) * 0.5
-        for position, name in enumerate(self.feature_names):
-            level = int(str(context[name])[1:])
-            feature_rng = np.random.default_rng(
-                [self.effect_seed, position, level, 2]
-            )
-            value += float(feature_rng.normal(0.0, 0.3))
-        if self.interaction_scale > 0:
-            cell_rng = np.random.default_rng(
-                [self.effect_seed, decision_index, *cell, 3]
-            )
-            value += self.interaction_scale * float(cell_rng.normal(0.0, 1.0))
-        self._reward_cache[cache_key] = value
-        return value
+        if cached is None:
+            cached = float(self.reward_table([context], [decision])[0, 0])
+            self._reward_cache[cache_key] = cached
+        return cached
+
+    def _cell(self, context: ClientContext) -> Tuple[int, ...]:
+        return tuple(int(str(context[name])[1:]) for name in self.feature_names)
+
+    def reward_table(self, contexts, decisions) -> np.ndarray:
+        """:meth:`true_mean_reward` of every (context, decision) pair, as
+        a ``(len(contexts), len(decisions))`` matrix.  Each decision and
+        (feature, level) effect is drawn once; a cell's additions always
+        run in one order, so every entry equals the scalar call's."""
+        seed = self.effect_seed
+        indices = [self._space.index_of(decision) for decision in decisions]
+        decision_effects = [
+            self.base_reward
+            + float(np.random.default_rng([seed, index, 1]).normal(0.0, 1.0)) * 0.5
+            for index in indices
+        ]
+        feature_effects: Dict[Tuple[int, int], float] = {}
+        table = np.empty((len(contexts), len(indices)), dtype=float)
+        for row, context in enumerate(contexts):
+            cell = self._cell(context)
+            for key in enumerate(cell):
+                if key not in feature_effects:
+                    rng = np.random.default_rng([seed, *key, 2])
+                    feature_effects[key] = float(rng.normal(0.0, 0.3))
+            for column, index in enumerate(indices):
+                value = decision_effects[column]
+                for key in enumerate(cell):
+                    value += feature_effects[key]
+                if self.interaction_scale > 0:
+                    rng = np.random.default_rng([seed, index, *cell, 3])
+                    value += self.interaction_scale * float(rng.normal(0.0, 1.0))
+                table[row, column] = value
+        return table
 
     # -- policies ---------------------------------------------------------------------
 
