@@ -147,10 +147,6 @@ class EstimatorFallbackChain(OffPolicyEstimator):
             f"every link of {self.name} failed — {detail}"
         )
 
-    def _estimate(self, new_policy, trace, propensities):  # pragma: no cover
-        """Unreachable: :meth:`estimate` dispatches to the links directly."""
-        raise EstimatorError("EstimatorFallbackChain dispatches via estimate()")
-
 
 def fallback_metadata(result: EstimateResult) -> Optional[Dict[str, Any]]:
     """The chain metadata of *result*, or ``None`` if it did not come
