@@ -24,13 +24,6 @@ from repro.errors import PolicyError
 _PROBABILITY_ATOL = 1e-6
 
 
-def _check_batch_lengths(decisions: Sequence[Decision], contexts: Sequence[ClientContext]) -> None:
-    if len(decisions) != len(contexts):
-        raise PolicyError(
-            f"{len(decisions)} decisions but {len(contexts)} contexts"
-        )
-
-
 def validate_distribution(
     distribution: Mapping[Decision, float],
     space: Optional[DecisionSpace] = None,
@@ -85,10 +78,11 @@ class Policy(abc.ABC):
     # -- batch API ----------------------------------------------------------
     #
     # The batch methods are the vectorization seam: estimators call them on
-    # whole traces, the defaults below loop over the scalar methods (so any
-    # subclass keeps working unchanged), and the built-in policy families
-    # override them with numpy implementations that produce bit-identical
-    # floats — same operations, in the same order, per element.
+    # whole traces.  A family overrides probability_matrix alone, with numpy
+    # that produces bit-identical floats to the loop default below — same
+    # operations, in the same order, per element.  propensity_batch and
+    # greedy_decision_batch are derived from the matrix, so a policy family
+    # answers each batch question from one place.
 
     def propensity_batch(
         self,
@@ -97,16 +91,21 @@ class Policy(abc.ABC):
     ) -> np.ndarray:
         """``mu(d_k | c_k)`` for aligned decision/context sequences.
 
-        Loop-based default; overrides must match it bit for bit.
+        Each record's logged-decision entry of :meth:`probability_matrix`,
+        after every decision is checked against the space.
         """
-        _check_batch_lengths(decisions, contexts)
-        return np.asarray(
-            [
-                self.propensity(decision, context)
-                for decision, context in zip(decisions, contexts)
-            ],
-            dtype=float,
+        if len(decisions) != len(contexts):
+            raise PolicyError(
+                f"{len(decisions)} decisions but {len(contexts)} contexts"
+            )
+        index_of = self._space.index_of
+        columns = np.fromiter(
+            (index_of(decision) for decision in decisions),
+            dtype=np.intp,
+            count=len(decisions),
         )
+        matrix = self.probability_matrix(contexts)
+        return matrix[np.arange(len(columns)), columns]
 
     def probability_matrix(self, contexts: Sequence[ClientContext]) -> np.ndarray:
         """``mu(d | c_k)`` as an ``(n, |space|)`` matrix in space order.
@@ -188,20 +187,6 @@ class DeterministicPolicy(Policy):
         self._space.validate(decision)
         return {decision: 1.0}
 
-    def propensity_batch(
-        self,
-        decisions: Sequence[Decision],
-        contexts: Sequence[ClientContext],
-    ) -> np.ndarray:
-        _check_batch_lengths(decisions, contexts)
-        values = np.empty(len(decisions), dtype=float)
-        for index, (decision, context) in enumerate(zip(decisions, contexts)):
-            self._space.validate(decision)
-            chosen = self._rule(context)
-            self._space.validate(chosen)
-            values[index] = 1.0 if chosen == decision else 0.0
-        return values
-
     def probability_matrix(self, contexts: Sequence[ClientContext]) -> np.ndarray:
         # One rule call and one validate per context, as probabilities()
         # does, then a one-hot row: the base loop's dict scan yields
@@ -223,16 +208,6 @@ class UniformRandomPolicy(Policy):
     def probabilities(self, context: ClientContext) -> Dict[Decision, float]:
         probability = 1.0 / len(self._space)
         return {decision: probability for decision in self._space}
-
-    def propensity_batch(
-        self,
-        decisions: Sequence[Decision],
-        contexts: Sequence[ClientContext],
-    ) -> np.ndarray:
-        _check_batch_lengths(decisions, contexts)
-        for decision in decisions:
-            self._space.validate(decision)
-        return np.full(len(decisions), 1.0 / len(self._space), dtype=float)
 
     def probability_matrix(self, contexts: Sequence[ClientContext]) -> np.ndarray:
         return np.full(
@@ -266,17 +241,6 @@ class EpsilonGreedyPolicy(Policy):
         for decision, probability in self._base.probabilities(context).items():
             distribution[decision] += (1.0 - self._epsilon) * probability
         return distribution
-
-    def propensity_batch(
-        self,
-        decisions: Sequence[Decision],
-        contexts: Sequence[ClientContext],
-    ) -> np.ndarray:
-        # Same per-element arithmetic as probabilities():
-        # exploration + (1 - eps) * base_probability, in that order.
-        exploration = self._epsilon / len(self._space)
-        base = self._base.propensity_batch(decisions, contexts)
-        return exploration + (1.0 - self._epsilon) * base
 
     def probability_matrix(self, contexts: Sequence[ClientContext]) -> np.ndarray:
         exploration = self._epsilon / len(self._space)
@@ -328,18 +292,6 @@ class SoftmaxPolicy(Policy):
         weights /= weights.sum(axis=1, keepdims=True)
         return weights
 
-    def propensity_batch(
-        self,
-        decisions: Sequence[Decision],
-        contexts: Sequence[ClientContext],
-    ) -> np.ndarray:
-        _check_batch_lengths(decisions, contexts)
-        columns = np.asarray(
-            [self._space.index_of(decision) for decision in decisions], dtype=np.intp
-        )
-        matrix = self.probability_matrix(contexts)
-        return matrix[np.arange(len(decisions)), columns]
-
 
 class MixturePolicy(Policy):
     """Convex combination of several policies over the same space."""
@@ -386,18 +338,6 @@ class MixturePolicy(Policy):
             matrix = matrix + weight * component.probability_matrix(contexts)
         return matrix
 
-    def propensity_batch(
-        self,
-        decisions: Sequence[Decision],
-        contexts: Sequence[ClientContext],
-    ) -> np.ndarray:
-        values = np.zeros(len(decisions), dtype=float)
-        for component, weight in zip(self._components, self._weights):
-            if weight == 0.0:
-                continue
-            values = values + weight * component.propensity_batch(decisions, contexts)
-        return values
-
 
 class TabularPolicy(Policy):
     """Distribution looked up by a tuple of context features.
@@ -424,14 +364,7 @@ class TabularPolicy(Policy):
         )
 
     def probabilities(self, context: ClientContext) -> Dict[Decision, float]:
-        key = context.values_for(self._key_features)
-        if key in self._table:
-            return dict(self._table[key])
-        if self._default is not None:
-            return dict(self._default)
-        raise PolicyError(
-            f"no table entry for context key {key!r} and no default distribution"
-        )
+        return dict(self._row_for(context))
 
     def _row_for(self, context: ClientContext) -> Mapping[Decision, float]:
         key = context.values_for(self._key_features)
@@ -443,18 +376,6 @@ class TabularPolicy(Policy):
         raise PolicyError(
             f"no table entry for context key {key!r} and no default distribution"
         )
-
-    def propensity_batch(
-        self,
-        decisions: Sequence[Decision],
-        contexts: Sequence[ClientContext],
-    ) -> np.ndarray:
-        _check_batch_lengths(decisions, contexts)
-        values = np.empty(len(decisions), dtype=float)
-        for index, (decision, context) in enumerate(zip(decisions, contexts)):
-            self._space.validate(decision)
-            values[index] = self._row_for(context).get(decision, 0.0)
-        return values
 
     def probability_matrix(self, contexts: Sequence[ClientContext]) -> np.ndarray:
         matrix = np.zeros((len(contexts), len(self._space)), dtype=float)
@@ -507,12 +428,9 @@ class GreedyModelPolicy(Policy):
                 best_prediction = prediction
         return {best_decision: 1.0}
 
-    def _best_columns(self, contexts: Sequence[ClientContext]) -> np.ndarray:
-        """Column index of the best-predicted decision per context.
-
-        Strict ``>`` against the running best, scanning decisions in space
-        order — the same first-max tie-breaking as the scalar loop.
-        """
+    def probability_matrix(self, contexts: Sequence[ClientContext]) -> np.ndarray:
+        # Strict ``>`` against the running best, scanning decisions in
+        # space order — the same first-max tie-breaking as the scalar loop.
         count = len(contexts)
         best = np.full(count, -np.inf)
         choice = np.zeros(count, dtype=np.intp)
@@ -523,25 +441,6 @@ class GreedyModelPolicy(Policy):
             better = predictions > best
             choice[better] = column
             best = np.where(better, predictions, best)
-        return choice
-
-    def probability_matrix(self, contexts: Sequence[ClientContext]) -> np.ndarray:
-        matrix = np.zeros((len(contexts), len(self._space)), dtype=float)
-        matrix[np.arange(len(contexts)), self._best_columns(contexts)] = 1.0
+        matrix = np.zeros((count, len(self._space)), dtype=float)
+        matrix[np.arange(count), choice] = 1.0
         return matrix
-
-    def propensity_batch(
-        self,
-        decisions: Sequence[Decision],
-        contexts: Sequence[ClientContext],
-    ) -> np.ndarray:
-        _check_batch_lengths(decisions, contexts)
-        for decision in decisions:
-            self._space.validate(decision)
-        chosen = self._space.decisions
-        values = np.empty(len(decisions), dtype=float)
-        for index, (decision, column) in enumerate(
-            zip(decisions, self._best_columns(contexts))
-        ):
-            values[index] = 1.0 if chosen[column] == decision else 0.0
-        return values

@@ -18,6 +18,7 @@ from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.core.contracts import PROPENSITY_UPPER_SLACK, check_propensity
 from repro.core.models.featurize import OneHotEncoder, Standardizer
 from repro.core.policy import Policy
@@ -120,6 +121,17 @@ class EstimatedPropensitySource(PropensitySource):
     def propensity(self, record: TraceRecord, index: int) -> float:
         value = self._model.propensity(record.decision, record.context)
         return self.validate_positive(value, record)
+
+    def propensity_batch(self, trace: Trace) -> np.ndarray:
+        # A fitted model is a function of (decision, context), so each
+        # distinct pair is asked once, in first-seen order.
+        columns = trace.columns()
+        values = kernels.ask_distinct(
+            self._model.propensity_batch,
+            (columns.decision_codes, columns.context_codes),
+            (columns.decisions, columns.contexts),
+        )
+        return self.validate_positive_batch(values, trace)
 
 
 class FlooredPropensitySource(PropensitySource):

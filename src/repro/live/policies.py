@@ -11,9 +11,10 @@ matrix form:
   inputs whose vocabularies are *identical* (``is``) to the policy's own
   grid resolves as ``matrix[context_codes, decision_codes]`` — one fused
   numpy gather for the whole chunk, the >1M records/s path.
-* Any other input falls back to per-element lookups against the same
-  stored matrix, so fast and slow paths return the same float64 objects
-  bit for bit (both *read* matrix entries; neither recomputes them).
+* Any other input goes to the base ``Policy.propensity_batch``, which
+  gathers from ``probability_matrix`` rows of the same stored matrix, so
+  fast and slow paths return the same float64 objects bit for bit (both
+  *read* matrix entries; neither recomputes them).
 
 The matrix itself is built once via the base policy's own
 ``probability_matrix`` — after construction the grid policy is a pure
@@ -128,23 +129,7 @@ class GridPolicy(Policy):
             and decisions.vocabulary is self._decisions
         ):
             return self._matrix[contexts.codes, decisions.codes]
-        if len(decisions) != len(contexts):
-            raise PolicyError(
-                f"batch length mismatch: {len(decisions)} decisions vs "
-                f"{len(contexts)} contexts"
-            )
-        rows = np.fromiter(
-            (self._row(context) for context in contexts),
-            dtype=np.intp,
-            count=len(contexts),
-        )
-        space = self._space
-        columns = np.fromiter(
-            (space.index_of(decision) for decision in decisions),
-            dtype=np.intp,
-            count=len(decisions),
-        )
-        return self._matrix[rows, columns]
+        return super().propensity_batch(decisions, contexts)
 
     def probability_matrix(self, contexts: Sequence[ClientContext]) -> np.ndarray:
         """``mu(d | c_k)`` rows gathered from the snapshot."""

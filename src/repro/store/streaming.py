@@ -230,22 +230,18 @@ def _shared(answers: Dict, function, *arguments):
 class _ChunkPolicy(Policy):
     """The new policy, answering each batch call about one chunk once.
 
-    A batch call about the chunk's own columns asks the wrapped policy
-    about each distinct context (or (decision, context) pair) once, in
-    first-seen order, and gathers the answers per record.  Every
-    :class:`Policy` is stationary, so a record's answer depends on its
-    context alone, and the first context that raises is the first
-    record's that would.
+    A matrix call about the chunk's own contexts asks the wrapped policy
+    about each distinct context once, in first-seen order, and gathers
+    the rows per record; the chunk's logged-decision propensities are
+    entries of those same rows.  Every :class:`Policy` is stationary, so
+    a record's answer depends on its context alone, and the first
+    context that raises is the first record's that would.
     """
 
     def __init__(self, policy: Policy, columns: TraceColumns):
         super().__init__(policy.space)
         self._policy = policy
-        self._columns = columns  # keeps the ids below valid
-        self._codes = {
-            id(columns.contexts): columns.context_codes,
-            id(columns.decisions): columns.decision_codes,
-        }
+        self._columns = columns
         self._answers: Dict = {}
 
     def probabilities(self, context):
@@ -255,24 +251,38 @@ class _ChunkPolicy(Policy):
         return self._policy.propensity(decision, context)
 
     def propensity_batch(self, decisions, contexts):
-        return _shared(self._answers, self._pairs, decisions, contexts)
+        return _shared(self._answers, self._logged, decisions, contexts)
 
     def probability_matrix(self, contexts):
         return _shared(self._answers, self._rows, contexts)
 
-    def _pairs(self, decisions, contexts):
-        return self._distinct(self._policy.propensity_batch, decisions, contexts)
+    def _logged(self, decisions, contexts):
+        """The chunk's logged-decision entries of its matrix rows, found
+        through the decision codes; other sequences, or a vocabulary
+        with a decision off the space, go to the base."""
+        columns = self._columns
+        vocabulary, space = columns.decision_vocabulary, self.space
+        if (
+            decisions is columns.decisions
+            and contexts is columns.contexts
+            and all(decision in space for decision in vocabulary)
+        ):
+            translation = np.asarray(
+                [space.index_of(decision) for decision in vocabulary], dtype=np.intp
+            )
+            codes = translation[columns.decision_codes]
+            return self.probability_matrix(contexts)[np.arange(len(codes)), codes]
+        return super().propensity_batch(decisions, contexts)
 
     def _rows(self, contexts):
-        return self._distinct(self._policy.probability_matrix, contexts)
-
-    def _distinct(self, call, *sequences):
-        """``call(*sequences)`` asked once per distinct row; sequences
-        other than the chunk's own go to *call* unchanged."""
-        if not all(id(sequence) in self._codes for sequence in sequences):
-            return call(*sequences)
-        codes = [self._codes[id(sequence)] for sequence in sequences]
-        return kernels.ask_distinct(call, codes, sequences)
+        """``probability_matrix`` asked once per distinct context of the
+        chunk; other sequences go to the wrapped policy unchanged."""
+        columns = self._columns
+        if contexts is not columns.contexts:
+            return self._policy.probability_matrix(contexts)
+        return kernels.ask_distinct(
+            self._policy.probability_matrix, [columns.context_codes], [contexts]
+        )
 
     def greedy_decision_batch(self, contexts):
         if type(self._policy).greedy_decision_batch is not Policy.greedy_decision_batch:
@@ -283,7 +293,7 @@ class _ChunkPolicy(Policy):
 
 class _ChunkSource(PropensitySource):
     """A propensity source answering each chunk's batch once; a logging
-    policy's batch asks it once per distinct (decision, context) pair."""
+    policy's batch asks it once per distinct context."""
 
     def __init__(self, source: PropensitySource, columns: TraceColumns):
         if isinstance(source, PolicyPropensitySource):

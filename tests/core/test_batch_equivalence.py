@@ -11,6 +11,8 @@ that drifts by an ulp or reorders validation fails here, not in a figure.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,9 +26,13 @@ from repro.core.models.knn import KNNRewardModel
 from repro.core.models.tabular import TabularMeanModel
 from repro.core.policy import DeterministicPolicy, Policy
 from repro.core.propensity import (
+    EmpiricalPropensityModel,
+    EstimatedPropensitySource,
     FlooredPropensitySource,
     LoggedPropensitySource,
+    LogisticPropensityModel,
     PolicyPropensitySource,
+    PropensityModel,
     PropensitySource,
 )
 from repro.core.types import ClientContext, Trace, TraceRecord
@@ -78,10 +84,19 @@ def traces(draw, min_size=4, max_size=25):
 
 @st.composite
 def policies(draw):
-    """One policy from every family that overrides a batch method."""
+    """One policy from every family that overrides a batch method, plus
+    one that overrides none."""
     kind = draw(
         st.sampled_from(
-            ["uniform", "deterministic", "epsilon", "softmax", "mixture", "tabular"]
+            [
+                "uniform",
+                "deterministic",
+                "epsilon",
+                "softmax",
+                "mixture",
+                "tabular",
+                "function",
+            ]
         )
     )
     target = draw(st.sampled_from(DECISIONS))
@@ -110,6 +125,10 @@ def policies(draw):
                 core.UniformRandomPolicy(SPACE),
             ],
             [weight, 1.0 - weight],
+        )
+    if kind == "function":
+        return core.FunctionPolicy(
+            SPACE, lambda context: _TABLE_ROWS[int(context["x"]) % len(_TABLE_ROWS)]
         )
     table = {
         ("isp-0",): draw(st.sampled_from(_TABLE_ROWS)),
@@ -165,9 +184,32 @@ class TestPolicyBatchEquivalence:
     def test_propensity_batch_matches_loop_default(self, policy, trace):
         columns = trace.columns()
         batch = policy.propensity_batch(columns.decisions, columns.contexts)
-        loop = Policy.propensity_batch(policy, columns.decisions, columns.contexts)
+        loop = np.asarray(
+            [
+                policy.propensity(decision, context)
+                for decision, context in zip(columns.decisions, columns.contexts)
+            ],
+            dtype=float,
+        )
         assert batch.dtype == loop.dtype
         assert np.array_equal(batch, loop)
+
+    @given(
+        policy=policies(),
+        trace=traces(),
+        position=st.integers(min_value=0, max_value=3),
+    )
+    @settings(deadline=None)
+    def test_off_space_decision_raises_the_loop_error(self, policy, trace, position):
+        columns = trace.columns()
+        decisions = list(columns.decisions)
+        decisions[position] = "off-space"
+        with pytest.raises(PolicyError) as batch:
+            policy.propensity_batch(decisions, columns.contexts)
+        with pytest.raises(PolicyError) as loop:
+            for decision, context in zip(decisions, columns.contexts):
+                policy.propensity(decision, context)
+        assert str(batch.value) == str(loop.value)
 
     @given(policy=policies(), trace=traces())
     @settings(deadline=None)
@@ -261,6 +303,39 @@ class TestModelBatchEquivalence:
 
 # -- propensity sources: same values, same errors -----------------------------
 
+def _interned(trace: Trace) -> Trace:
+    """*trace* with equal contexts sharing one object, so a batch asked
+    once per distinct context object has repeats to reuse."""
+    pool = {}
+    return Trace(
+        dataclasses.replace(
+            record, context=pool.setdefault(record.context, record.context)
+        )
+        for record in trace
+    )
+
+
+class _PatchyPropensityModel(PropensityModel):
+    """1/3 everywhere except where *failure* strikes: ``"zero"`` gives
+    decision "c" zero propensity at x = 0; ``"raise"`` raises for x >= 3,
+    naming the context."""
+
+    def __init__(self, failure: str):
+        super().__init__()
+        self._failure = failure
+
+    def _fit(self, trace):
+        pass
+
+    def _propensity(self, decision, context):
+        x = context["x"]
+        if self._failure == "raise" and x >= 3.0:
+            raise PropensityError(f"no estimate for {context!r}")
+        if self._failure == "zero" and decision == "c" and x == 0.0:
+            return 0.0
+        return 1.0 / 3.0
+
+
 class TestPropensitySourceEquivalence:
     @given(trace=traces())
     def test_logged_source_matches_loop_default(self, trace):
@@ -291,6 +366,33 @@ class TestPropensitySourceEquivalence:
             FlooredPropensitySource(PolicyPropensitySource(policy), floor), trace
         )
         assert np.array_equal(batch, loop)
+
+    @given(trace=traces(), kind=st.sampled_from(["empirical", "logistic"]))
+    @settings(deadline=None)
+    def test_estimated_source_matches_loop_default(self, trace, kind):
+        trace = _interned(trace)
+        if kind == "empirical":
+            model = EmpiricalPropensityModel(SPACE, key_features=("isp",))
+        else:
+            model = LogisticPropensityModel(SPACE, iterations=20)
+        source = EstimatedPropensitySource(model.fit(trace))
+        batch = source.propensity_batch(trace)
+        loop = PropensitySource.propensity_batch(source, trace)
+        assert batch.dtype == loop.dtype
+        assert np.array_equal(batch, loop)
+
+    @given(trace=traces(), failure=st.sampled_from(["zero", "raise"]))
+    @settings(deadline=None)
+    def test_estimated_source_raises_the_scalar_error(self, trace, failure):
+        trace = _interned(trace)
+        source = EstimatedPropensitySource(_PatchyPropensityModel(failure).fit(trace))
+        outcomes = []
+        for method in (PropensitySource.propensity_batch, type(source).propensity_batch):
+            try:
+                outcomes.append(method(source, trace).tolist())
+            except PropensityError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[1] == outcomes[0]
 
     @given(trace=traces())
     def test_batch_raises_the_scalar_error(self, trace):

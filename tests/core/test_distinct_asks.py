@@ -101,9 +101,10 @@ def test_dm_then_dr_ask_each_pair_once(scenario, trace):
     assert sum(len(rows) for rows in cbn.calls) == 16
     assert all(distinct(rows) for rows in cbn.calls)
     assert [len(rows) for rows in new.matrix_calls] == [2]
-    assert [len(rows) for rows in new.pair_calls] == [8]
-    assert [len(rows) for rows in old.pair_calls] == [8]
-    assert all(distinct(rows) for rows in old.pair_calls + new.pair_calls)
+    # The weights are entries of the same matrix rows: no pair asks.
+    assert new.pair_calls == []
+    assert [len(rows) for rows in old.matrix_calls] == [2]
+    assert old.pair_calls == []
     assert np.isfinite(dm.value) and np.isfinite(dr.value)
 
 

@@ -107,11 +107,10 @@ class TestPolicyCallsPerContext:
         policy = DeterministicPolicy(workload.space(), rule)
         trace = _sharded(shard_dir)
         report = api.compare(trace, policy)
-        contexts, pairs = _distinct_per_chunk(trace)
-        # One matrix row per distinct context, one propensity per
-        # distinct (context, decision) pair; the greedy scan reuses
-        # the matrix.
-        assert rule.calls == contexts + pairs
+        contexts, _ = _distinct_per_chunk(trace)
+        # One matrix row per distinct context; the propensities and the
+        # greedy scan reuse the matrix.
+        assert rule.calls == contexts
         assert report.to_json() == api.compare(trace.materialize(), policy).to_json()
 
     def test_raising_rule_fails_alike_dense_and_sharded(

@@ -186,10 +186,7 @@ class TestOnePass:
         policy = CountingPolicy(new_policy)
         report = api.compare(trace, policy)
         chunks = len(trace.plan_chunks())
-        assert policy.calls == {
-            "propensity_batch": chunks,
-            "probability_matrix": chunks,
-        }
+        assert policy.calls == {"probability_matrix": chunks}
         assert report.to_json() == api.compare(_dense(shard_dir), policy).to_json()
 
     def test_one_reconcile_stamps_every_member(
