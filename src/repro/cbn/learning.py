@@ -12,12 +12,14 @@ Two stages, as in WISE's pipeline:
 
 BIC decomposes over families (a variable and its parent tuple), and one
 edge move changes at most two families, so the hill-climb never builds a
-network per candidate.  The learner integer-codes the dataset once, scores
+network per candidate.  The learner integer-codes the dataset once
+(``learn`` codes rows; ``learn_codes``, the one hill-climb, takes columns
+a caller coded already, as the WISE model does from trace columns), scores
 each family it meets once (local log-likelihood of its smoothed CPT minus
-its parameter penalty, memoised for the duration of one ``learn`` call),
-and totals a candidate as the sum of its family scores in declared
-variable order.  Acyclicity is a depth-first search over the parent
-lists.  Only the winning structure is fitted into a
+its parameter penalty, memoised for the duration of one call), and totals
+a candidate as the sum of its family scores in declared variable order.
+Acyclicity is a depth-first search over the parent lists.  Only the
+winning structure is fitted into a
 :class:`~repro.cbn.graph.BayesianNetwork`, once, at the end.
 """
 
@@ -59,7 +61,8 @@ class _EncodedDataset:
     ``codes[v][k]`` is the position of row *k*'s value in ``domains[v]``
     (domains inferred first-seen from the data, then overridden by any
     explicit domains).  Built once per learn/fit call and shared across
-    every candidate structure.
+    every candidate structure; :meth:`from_codes` wraps columns a caller
+    coded already.
     """
 
     __slots__ = ("n", "domains", "codes")
@@ -82,6 +85,20 @@ class _EncodedDataset:
             self.codes[variable] = np.fromiter(
                 (index[row[variable]] for row in data), dtype=np.intp, count=self.n
             )
+
+    @classmethod
+    def from_codes(
+        cls,
+        codes: Mapping[str, np.ndarray],
+        domains: Mapping[str, Sequence[Value]],
+    ) -> "_EncodedDataset":
+        """Wrap pre-coded ``intp`` columns: ``codes[v][k]`` indexes
+        ``domains[v]``, and every column has one entry per row."""
+        encoded = object.__new__(cls)
+        encoded.n = len(next(iter(codes.values()), ()))
+        encoded.domains = {v: tuple(domain) for v, domain in domains.items()}
+        encoded.codes = dict(codes)
+        return encoded
 
 
 def _validated_order(structure: Mapping[str, Sequence[str]]) -> List[str]:
@@ -267,10 +284,28 @@ class StructureLearner:
         variables: Sequence[str],
         domains: Optional[Mapping[str, Sequence[Value]]] = None,
     ) -> BayesianNetwork:
-        """Learn structure + parameters from *data*."""
+        """Learn structure + parameters from *data*: integer-code the rows,
+        then :meth:`learn_codes`."""
         if not data:
             raise SimulationError("cannot learn a structure from empty data")
         encoded = _EncodedDataset(data, list(variables), domains)
+        return self.learn_codes(encoded.codes, encoded.domains)
+
+    def learn_codes(
+        self,
+        codes: Mapping[str, np.ndarray],
+        domains: Mapping[str, Sequence[Value]],
+    ) -> BayesianNetwork:
+        """Learn structure + parameters from integer-coded columns.
+
+        The variables are *codes*' keys, in order; ``codes[v][k]`` is the
+        position of observation *k*'s value in ``domains[v]``.  This is
+        the one hill-climb: :meth:`learn` codes its rows and calls it.
+        """
+        encoded = _EncodedDataset.from_codes(codes, domains)
+        if codes and not encoded.n:
+            raise SimulationError("cannot learn a structure from empty data")
+        variables = list(codes)
         memo: Dict[Tuple[str, Tuple[str, ...]], float] = {}
 
         def score(structure: Mapping[str, Sequence[str]]) -> float:

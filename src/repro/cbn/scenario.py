@@ -22,7 +22,13 @@ import numpy as np
 from repro import kernels
 from repro.core.policy import Policy, TabularPolicy
 from repro.core.spaces import ProductDecisionSpace
-from repro.core.types import ClientContext, Decision, Trace, TraceRecord
+from repro.core.types import (
+    ClientContext,
+    Decision,
+    Trace,
+    TraceRecord,
+    trusted_record,
+)
 from repro.errors import SimulationError
 
 ISPS = ("isp-1", "isp-2")
@@ -132,34 +138,41 @@ class WiseScenario:
         """One trace with exactly the paper's per-combination counts.
 
         Record order is shuffled; propensities come from
-        :meth:`old_policy` so IPS/DR corrections are exact.
+        :meth:`old_policy` so IPS/DR corrections are exact.  The noise is
+        one draw in (isp, decision, count) order, and rewards and
+        propensities are checked as whole columns; the first record
+        :class:`TraceRecord` would reject is rebuilt through it, so a bad
+        value raises the same error at the same record.
         """
         old = self.old_policy()
-        space = self.space()
-        records = []
+        keys, means, propensities, counts = [], [], [], []
         for isp in ISPS:
             context = ClientContext(isp=isp)
             arrow = self._arrow_of(isp)
-            for decision in space:
-                count = (
+            for decision in self.space():
+                keys.append((context, decision))
+                means.append(self.true_mean_response(isp, decision))
+                propensities.append(old.propensity(decision, context))
+                counts.append(
                     self.clients_per_arrow
                     if decision == arrow
                     else self.clients_per_rare_combo
                 )
-                propensity = old.propensity(decision, context)
-                mean = self.true_mean_response(isp, decision)
-                for _ in range(count):
-                    response = mean + rng.normal(0.0, self.noise_ms)
-                    records.append(
-                        TraceRecord(
-                            context=context,
-                            decision=decision,
-                            reward=float(max(response, 1.0)),
-                            propensity=propensity,
-                        )
-                    )
+        owners = np.repeat(np.arange(len(keys)), counts)
+        noise = rng.normal(0.0, self.noise_ms, size=len(owners))
+        rewards = np.maximum(np.asarray(means)[owners] + noise, 1.0)
+        logged = np.asarray(propensities, dtype=float)[owners]
+        bad = ~((logged > 0.0) & (logged <= 1.0 + 1e-12)) | ~np.isfinite(rewards)
+        if bad.any():
+            index = int(np.flatnonzero(bad)[0])
+            owner = owners[index]
+            TraceRecord(*keys[owner], float(rewards[index]), propensities[owner])
+        records = [
+            trusted_record(*keys[owner], reward, propensities[owner], None, None)
+            for owner, reward in zip(owners.tolist(), rewards.tolist())
+        ]
         rng.shuffle(records)
-        return Trace(records)
+        return Trace._from_records(records)
 
     def ground_truth_value(self, policy: Policy, trace: Trace) -> float:
         """Exact V(policy, T) using the noise-free mean response times.

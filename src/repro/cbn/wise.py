@@ -15,10 +15,11 @@ pipeline as a :class:`~repro.core.models.RewardModel`:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.cbn.graph import BayesianNetwork
 from repro.cbn.learning import StructureLearner
 from repro.core.models.base import RewardModel
@@ -26,6 +27,17 @@ from repro.core.types import ClientContext, Decision, Trace
 from repro.errors import ModelError
 
 REWARD_VARIABLE = "__reward__"
+
+
+def _coded(
+    values: Sequence[Hashable], groups: np.ndarray
+) -> Tuple[np.ndarray, Tuple[Hashable, ...]]:
+    """One variable's per-record codes and first-seen domain, from its
+    value in each group (groups in first-seen order) and each record's
+    group code."""
+    index: Dict[Hashable, int] = {}
+    local = [index.setdefault(value, len(index)) for value in values]
+    return np.asarray(local, dtype=np.intp)[groups], tuple(index)
 
 
 class WiseRewardModel(RewardModel):
@@ -105,20 +117,30 @@ class WiseRewardModel(RewardModel):
             for b in range(bin_count)
             if np.any(assignments == b)
         }
-        rows: List[Dict[str, Hashable]] = []
-        for record, bin_index in zip(trace, assignments):
-            row: Dict[str, Hashable] = {
-                name: record.context[name] for name in self._feature_names
-            }
-            for name, value in zip(
-                self._decision_factors, self._decision_values(record.decision)
-            ):
-                row[name] = value
-            row[REWARD_VARIABLE] = int(bin_index)
-            rows.append(row)
-        variables = list(self._feature_names) + list(self._decision_factors)
-        variables.append(REWARD_VARIABLE)
-        self._network = self._learner.learn(rows, variables)
+        # The dataset is coded straight from the columns: each distinct
+        # context's features and each distinct decision's factors are
+        # looked up once, then gathered per record.  Domains stay in
+        # first-seen record order, as the learner infers them from rows.
+        columns = trace.columns()
+        context_codes, firsts = kernels.first_seen_codes(columns.context_codes)
+        contexts = [columns.contexts[first] for first in firsts.tolist()]
+        decision_codes, firsts = kernels.first_seen_codes(columns.decision_codes)
+        factors = [
+            self._decision_values(columns.decisions[first]) for first in firsts.tolist()
+        ]
+        codes: Dict[str, np.ndarray] = {}
+        domains: Dict[str, Tuple[Hashable, ...]] = {}
+        for name in self._feature_names:
+            codes[name], domains[name] = _coded(
+                [context[name] for context in contexts], context_codes
+            )
+        for position, name in enumerate(self._decision_factors):
+            codes[name], domains[name] = _coded(
+                [values[position] for values in factors], decision_codes
+            )
+        codes[REWARD_VARIABLE], firsts = kernels.first_seen_codes(assignments)
+        domains[REWARD_VARIABLE] = tuple(assignments[firsts].tolist())
+        self._network = self._learner.learn_codes(codes, domains)
 
     def reward_parents(self) -> Tuple[str, ...]:
         """Parents of the reward node in the learned CBN.

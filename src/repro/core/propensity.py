@@ -46,6 +46,16 @@ class PropensitySource(abc.ABC):
             dtype=float,
         )
 
+    def _ask(self, trace: Trace, ask, *args) -> np.ndarray:
+        """``ask(*args)``, a batch ask about *trace*.  When it raises, the
+        scalar loop reruns first, so an earlier record's error (a zero
+        propensity, say) wins over a later record's failed ask."""
+        try:
+            return ask(*args)
+        except Exception:
+            PropensitySource.propensity_batch(self, trace)
+            raise
+
     def validate_positive(self, value: float, record: TraceRecord) -> float:
         """Guard against zero/negative propensities, which break IPS/DR."""
         return check_propensity(
@@ -81,7 +91,9 @@ class PolicyPropensitySource(PropensitySource):
 
     def propensity_batch(self, trace: Trace) -> np.ndarray:
         columns = trace.columns()
-        values = self.policy.propensity_batch(columns.decisions, columns.contexts)
+        values = self._ask(
+            trace, self.policy.propensity_batch, columns.decisions, columns.contexts
+        )
         return self.validate_positive_batch(values, trace)
 
 
@@ -126,7 +138,9 @@ class EstimatedPropensitySource(PropensitySource):
         # A fitted model is a function of (decision, context), so each
         # distinct pair is asked once, in first-seen order.
         columns = trace.columns()
-        values = kernels.ask_distinct(
+        values = self._ask(
+            trace,
+            kernels.ask_distinct,
             self._model.propensity_batch,
             (columns.decision_codes, columns.context_codes),
             (columns.decisions, columns.contexts),

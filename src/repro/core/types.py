@@ -39,6 +39,7 @@ from typing import (
 
 import numpy as np
 
+from repro import kernels
 from repro.errors import TraceError
 
 Decision = Hashable
@@ -196,6 +197,36 @@ class TraceRecord:
         )
 
 
+def trusted_record(
+    context: ClientContext,
+    decision: Decision,
+    reward: float,
+    propensity: Optional[float],
+    timestamp: Optional[float],
+    state: Optional[Hashable],
+) -> TraceRecord:
+    """Build a :class:`TraceRecord` without re-running field validation.
+
+    For callers that validated whole columns already: the shard decoder
+    (re-validating every decode would double the read cost and make
+    corrupt-on-disk records, the fault-injection and quarantine test
+    paths, impossible to *read*; the contracts layer is where corruption
+    must surface) and simulators that check rewards and propensities as
+    arrays before building their records.
+    """
+    record = object.__new__(TraceRecord)
+    # One dict update, not six frozen-bypassing __setattr__ calls.
+    record.__dict__.update(
+        context=context,
+        decision=decision,
+        reward=reward,
+        propensity=propensity,
+        timestamp=timestamp,
+        state=state,
+    )
+    return record
+
+
 class TraceColumns:
     """Structure-of-arrays view over a :class:`Trace`.
 
@@ -322,12 +353,17 @@ class TraceColumns:
         )
 
     def feature_names(self) -> Tuple[str, ...]:
-        """Common context schema (validated once, then cached)."""
+        """Common context schema (validated once, then cached).
+
+        One context per distinct :attr:`context_codes` value is checked,
+        in first-seen order, so the first offending context is the one a
+        per-record scan would name."""
         if not self.contexts:
             raise TraceError("cannot infer a schema from an empty trace")
         if self._feature_names is None:
             names = self.contexts[0].keys()
-            for context in self.contexts:
+            _, firsts = kernels.first_seen_codes(self.context_codes)
+            for context in map(self.contexts.__getitem__, firsts.tolist()):
                 if context.keys() != names:
                     raise TraceError(
                         "trace records have inconsistent feature schemas: "

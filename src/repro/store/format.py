@@ -56,7 +56,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import kernels
-from repro.core.types import ClientContext, TraceRecord, _encode_value
+from repro.core.types import TraceRecord, _encode_value, trusted_record
 from repro.errors import JsonlRecordError, StoreError, TraceError
 from repro.ioutil import atomic_write_bytes, atomic_write_text, fsync_directory
 from repro.obs.spans import observe, recording, span
@@ -788,30 +788,3 @@ def load_manifest(
                     f"{directory}: missing shard file {shard['file']}"
                 )
     return manifest
-
-
-def trusted_record(
-    context: ClientContext,
-    decision: Any,
-    reward: float,
-    propensity: Optional[float],
-    timestamp: Optional[float],
-    state: Any,
-) -> TraceRecord:
-    """Build a :class:`TraceRecord` without re-running field validation.
-
-    Shard data was validated when the records were first constructed and
-    written; re-validating on every decode would (a) double the read
-    cost and (b) make corrupt-on-disk records (the fault-injection and
-    quarantine test paths) impossible to *read* — the contracts layer,
-    not the decoder, is where corruption must surface.
-    """
-    record = object.__new__(TraceRecord)
-    object.__setattr__(record, "context", context)
-    object.__setattr__(record, "decision", decision)
-    object.__setattr__(record, "reward", reward)
-    object.__setattr__(record, "propensity", propensity)
-    object.__setattr__(record, "timestamp", timestamp)
-    object.__setattr__(record, "state", state)
-    return record
-

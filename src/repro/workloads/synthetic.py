@@ -196,13 +196,18 @@ class SyntheticWorkload:
         This is the single source of the workload's sampling order —
         :meth:`generate_trace` collects it into a :class:`Trace` and
         :meth:`generate_to_shards` streams it to disk, so for the same
-        *rng* state the two produce identical records.
+        *rng* state the two produce identical records.  Equal contexts
+        are one interned object, so a trace's ``context_codes`` count
+        distinct values (at most ``cardinality ** n_features``), not
+        records.
         """
         if n <= 0:
             raise SimulationError(f"n must be positive, got {n}")
         population = self.population()
+        interned: Dict[ClientContext, ClientContext] = {}
         for _ in range(n):
             context = population.sample(rng)
+            context = interned.setdefault(context, context)
             decision = old_policy.sample(context, rng)
             reward = self.true_mean_reward(context, decision) + rng.normal(
                 0.0, self.noise_scale

@@ -62,13 +62,21 @@ def _signature(network):
 
 
 class _RecordingLearner(StructureLearner):
+    """Records each coded dataset the WISE model learns from, decoded
+    back into rows."""
+
     def __init__(self):
         super().__init__(max_parents=3)
         self.calls = []
 
-    def learn(self, data, variables, domains=None):
-        self.calls.append((data, list(variables)))
-        return super().learn(data, variables, domains)
+    def learn_codes(self, codes, domains):
+        variables = list(codes)
+        rows = [
+            {v: domains[v][codes[v][k]] for v in variables}
+            for k in range(len(codes[variables[0]]))
+        ]
+        self.calls.append((rows, variables))
+        return super().learn_codes(codes, domains)
 
 
 def _wise_rows(seeds):
@@ -77,6 +85,7 @@ def _wise_rows(seeds):
     for seed in seeds:
         trace = scenario.generate_trace(np.random.default_rng(seed))
         WiseRewardModel(("frontend", "backend"), learner=learner).fit(trace)
+    assert len(learner.calls) == len(seeds)
     return learner.calls
 
 

@@ -336,7 +336,46 @@ class _PatchyPropensityModel(PropensityModel):
         return 1.0 / 3.0
 
 
+class _ZeroThenRaiseModel(PropensityModel):
+    """Zero propensity at x = 0; no estimate at all for x = 1."""
+
+    def _fit(self, trace):
+        pass
+
+    def _propensity(self, decision, context):
+        if context["x"] == 1.0:
+            raise ValueError("no estimate for x=1")
+        return 0.0
+
+
 class TestPropensitySourceEquivalence:
+    @pytest.mark.parametrize("kind", ["policy", "estimated"])
+    def test_earlier_zero_propensity_beats_a_later_failed_ask(self, kind):
+        # Record 0's propensity is zero and asking about record 1 raises:
+        # the scalar loop stops at record 0, so the batch must too.
+        trace = Trace(
+            [
+                TraceRecord(ClientContext(x=0.0), "b", 1.0),
+                TraceRecord(ClientContext(x=1.0), "a", 1.0),
+            ]
+        )
+        if kind == "policy":
+
+            def rule(context):
+                if context["x"] == 1.0:
+                    raise ValueError("no decision for x=1")
+                return "a"
+
+            source = PolicyPropensitySource(DeterministicPolicy(SPACE, rule))
+        else:
+            source = EstimatedPropensitySource(_ZeroThenRaiseModel().fit(trace))
+        with pytest.raises(PropensityError) as loop:
+            PropensitySource.propensity_batch(source, trace)
+        with pytest.raises(PropensityError) as batch:
+            source.propensity_batch(trace)
+        assert str(batch.value) == str(loop.value)
+        assert "is 0.0" in str(batch.value)
+
     @given(trace=traces())
     def test_logged_source_matches_loop_default(self, trace):
         source = LoggedPropensitySource()

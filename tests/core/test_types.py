@@ -190,6 +190,19 @@ class TestTrace:
         with pytest.raises(TraceError):
             trace.feature_names()
 
+    def test_feature_names_names_the_first_offending_context(self):
+        # Shared context objects are checked once each, in first-seen
+        # order; a slice keeps its parent's context codes.
+        x, y, z = ClientContext(x=1), ClientContext(y=1), ClientContext(z=1)
+        trace = Trace(
+            TraceRecord(context, "d", 1.0) for context in (x, z, x, y, z, y)
+        )
+        with pytest.raises(TraceError, match=r"\('x',\) vs \('z',\)$"):
+            trace.feature_names()
+        with pytest.raises(TraceError, match=r"\('x',\) vs \('y',\)$"):
+            trace[2:].feature_names()
+        assert trace[4:5].feature_names() == ("z",)
+
     def test_filter(self):
         filtered = self._trace().filter(lambda r: r.reward > 2)
         assert len(filtered) == 2

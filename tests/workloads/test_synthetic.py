@@ -1,10 +1,13 @@
 """Tests for the synthetic workload generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import core
 from repro.errors import SimulationError
+from repro.store.format import encode_shard, records_columns
 from repro.workloads import SyntheticWorkload
 
 
@@ -110,3 +113,38 @@ class TestEstimatorIntegration:
             core.TabularMeanModel(key_features=("f0",))
         ).estimate(new, trace, old_policy=old)
         assert core.relative_error(truth, dr.value) < 0.05
+
+
+class TestInternedContexts:
+    """Equal contexts share one object; no record value or draw moves.
+
+    The digests are the shard bytes the generator wrote before contexts
+    were interned (same seed, same sizes)."""
+
+    TRACE_SHA256 = "469cee9a164eca424ba2cfb939211ee667c60cf9e702e58850860ea4b615a5d6"
+    SHARDS_SHA256 = "004f8bcb78f5f25cf1e8f91e0279ce7f6b1134b840b66251bb76a78e0e0cf6da"
+
+    def test_trace_bytes_unchanged_and_contexts_shared(self):
+        workload = SyntheticWorkload()
+        trace = workload.generate_trace(
+            workload.logging_policy(0.3), 3000, np.random.default_rng(11)
+        )
+        data, _ = encode_shard(records_columns(list(trace)), trace.feature_names())
+        assert hashlib.sha256(data).hexdigest() == self.TRACE_SHA256
+        assert len(set(map(id, trace.contexts()))) == 64
+        assert int(trace.columns().context_codes.max()) == 63
+
+    def test_shard_bytes_unchanged(self, tmp_path):
+        workload = SyntheticWorkload()
+        workload.generate_to_shards(
+            workload.logging_policy(0.3),
+            3000,
+            np.random.default_rng(11),
+            tmp_path,
+            shard_size=1000,
+        )
+        digest = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == self.SHARDS_SHA256
