@@ -50,10 +50,11 @@ class ConditionalTable:
                     f"CPT row for {variable!r}{key!r} has {array.size} entries, "
                     f"expected {len(self.domain)}"
                 )
-            if np.any(array < -1e-12):
+            if (array < -1e-12).any():
                 raise SimulationError(f"negative probability in CPT of {variable!r}")
             total = float(array.sum())
-            if not np.isclose(total, 1.0, atol=1e-6):
+            # np.isclose(total, 1.0, atol=1e-6) as a scalar test; nan fails.
+            if not abs(total - 1.0) <= 1e-6 + 1e-5:
                 raise SimulationError(
                     f"CPT row for {variable!r}{key!r} sums to {total}"
                 )

@@ -26,8 +26,8 @@ from repro.core.types import (
     ClientContext,
     Decision,
     Trace,
+    TraceColumns,
     TraceRecord,
-    trusted_record,
 )
 from repro.errors import SimulationError
 
@@ -142,15 +142,22 @@ class WiseScenario:
         one draw in (isp, decision, count) order, and rewards and
         propensities are checked as whole columns; the first record
         :class:`TraceRecord` would reject is rebuilt through it, so a bad
-        value raises the same error at the same record.
+        value raises the same error at the same record.  The shuffle is
+        one ``rng.permutation`` (the draws of ``rng.shuffle`` on the
+        record list) gathered into :class:`TraceColumns`; the trace is
+        born from them and builds no record unless one is asked for.
         """
         old = self.old_policy()
-        keys, means, propensities, counts = [], [], [], []
-        for isp in ISPS:
+        contexts, decisions, isp_index, decision_index = [], [], [], []
+        means, propensities, counts = [], [], []
+        for i, isp in enumerate(ISPS):
             context = ClientContext(isp=isp)
             arrow = self._arrow_of(isp)
-            for decision in self.space():
-                keys.append((context, decision))
+            for j, decision in enumerate(self.space()):
+                contexts.append(context)
+                decisions.append(decision)
+                isp_index.append(i)
+                decision_index.append(j)
                 means.append(self.true_mean_response(isp, decision))
                 propensities.append(old.propensity(decision, context))
                 counts.append(
@@ -158,7 +165,7 @@ class WiseScenario:
                     if decision == arrow
                     else self.clients_per_rare_combo
                 )
-        owners = np.repeat(np.arange(len(keys)), counts)
+        owners = np.repeat(np.arange(len(counts)), counts)
         noise = rng.normal(0.0, self.noise_ms, size=len(owners))
         rewards = np.maximum(np.asarray(means)[owners] + noise, 1.0)
         logged = np.asarray(propensities, dtype=float)[owners]
@@ -166,13 +173,33 @@ class WiseScenario:
         if bad.any():
             index = int(np.flatnonzero(bad)[0])
             owner = owners[index]
-            TraceRecord(*keys[owner], float(rewards[index]), propensities[owner])
-        records = [
-            trusted_record(*keys[owner], reward, propensities[owner], None, None)
-            for owner, reward in zip(owners.tolist(), rewards.tolist())
-        ]
-        rng.shuffle(records)
-        return Trace._from_records(records)
+            TraceRecord(
+                contexts[owner],
+                decisions[owner],
+                float(rewards[index]),
+                propensities[owner],
+            )
+        order = rng.permutation(len(owners))
+        cells = owners[order]
+        cell_list = cells.tolist()
+        decision_column = tuple(map(decisions.__getitem__, cell_list))
+        decision_codes, firsts = kernels.first_seen_codes(
+            np.asarray(decision_index)[cells]
+        )
+        context_codes, _ = kernels.first_seen_codes(np.asarray(isp_index)[cells])
+        return Trace._from_columns(
+            TraceColumns(
+                rewards[order],
+                logged[order],
+                np.full(len(owners), np.nan),
+                decision_column,
+                tuple(map(contexts.__getitem__, cell_list)),
+                decision_codes,
+                tuple(map(decision_column.__getitem__, firsts.tolist())),
+                feature_names=contexts[0].keys(),
+                context_codes=context_codes,
+            )
+        )
 
     def ground_truth_value(self, policy: Policy, trace: Trace) -> float:
         """Exact V(policy, T) using the noise-free mean response times.

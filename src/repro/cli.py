@@ -134,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
     bench_parser.add_argument(
         "--quick",
         action="store_true",
-        help="small sweep (8 runs, 5 micro repeats) for CI smoke checks",
+        help="small sweep (16 runs, 5 micro repeats) for CI smoke checks",
     )
     bench_parser.add_argument(
         "--output",
@@ -148,9 +148,10 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="BASELINE.json",
         help=(
-            "exit 1 if fig7a throughput regressed more than --tolerance "
-            "below this baseline (a committed file, or a same-job warmup "
-            "run's --output for hardware-independent gating)"
+            "exit 1 if fig7a throughput, in runs per reference time, "
+            "regressed more than --tolerance below this baseline (a "
+            "committed file, or a same-job warmup run's --output for "
+            "hardware-independent gating)"
         ),
     )
     bench_parser.add_argument(
@@ -171,8 +172,9 @@ def main(argv: list[str] | None = None) -> int:
         metavar="FRACTION",
         help=(
             "how far below sequential throughput the parallel sweep may "
-            "fall before --check fails (default 0.05 = 5%%); 0 demands "
-            "parallel strictly match or beat sequential"
+            "fall, as the median of interleaved per-pair ratios, before "
+            "--check fails (default 0.05 = 5%%); 0 demands parallel "
+            "strictly match or beat sequential"
         ),
     )
     shard_parser = subparsers.add_parser(
@@ -794,7 +796,7 @@ def _run_bench(arguments) -> int:
         run_benchmark,
     )
 
-    runs = 8 if arguments.quick else arguments.runs
+    runs = 16 if arguments.quick else arguments.runs
     micro_repeats = 5 if arguments.quick else 20
     output = Path(arguments.output) if arguments.output else DEFAULT_OUTPUT
     started = time.time()
@@ -812,6 +814,11 @@ def _run_bench(arguments) -> int:
         f"{fig7a['workers']} workers "
         f"({payload['speedup_vs_pre_pr']['sequential']:.1f}x / "
         f"{payload['speedup_vs_pre_pr']['parallel']:.1f}x vs pre-PR baseline)"
+    )
+    print(
+        f"  medians of {fig7a['repeats']} interleaved pairs: "
+        f"{fig7a['sequential_runs_per_ref']:.4f} sequential runs per "
+        f"reference time, parallel speedup {fig7a['parallel_speedup']:.3f}x"
     )
     for name, rate in payload["estimators_per_second"].items():
         print(f"  {name:<10} {rate:8.1f} estimates/s")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import (
     Any,
     Callable,
@@ -234,8 +235,9 @@ class TraceColumns:
     when absent), timestamps (nan when absent), decisions (plus integer
     codes into a first-seen vocabulary), and contexts (plus codes) — so
     estimators can run as numpy expressions instead of per-record Python
-    loops.  Built lazily by :meth:`Trace.columns`, invalidated when the
-    trace grows, and shared (as numpy views) by trace slices.
+    loops.  Built lazily by :meth:`Trace.columns` (or directly by a
+    source that hands them to :meth:`Trace._from_columns`), invalidated
+    when the trace grows, and shared (as numpy views) by trace slices.
 
     The arrays are caches: treat them as read-only.
     """
@@ -414,10 +416,14 @@ class Trace:
 
     Order matters: the non-stationary replay estimator (§4.2) consumes the
     trace "in the same sequence as collected".
+
+    A trace holds its records, its :class:`TraceColumns`, or both.  One
+    built from records derives its columns on first use; one born from
+    columns (:meth:`_from_columns`) derives its records on first use.
     """
 
     def __init__(self, records: Iterable[TraceRecord] = ()):
-        self._records: List[TraceRecord] = []
+        self._records: Optional[List[TraceRecord]] = []
         self._columns: Optional[TraceColumns] = None
         for record in records:
             self.append(record)
@@ -432,13 +438,45 @@ class Trace:
         trace._records = records
         return trace
 
+    @classmethod
+    def _from_columns(cls, columns: TraceColumns) -> "Trace":
+        """Trusted constructor taking ownership of already-validated
+        columns from a stateless source (``WiseScenario.generate_trace``).
+
+        ``len``, :meth:`columns` and everything that reads columns run
+        without records; iterating, indexing, comparing, appending or
+        serialising materialises them once, with ``state=None`` and
+        ``None`` for a nan propensity or timestamp.  Slices and
+        :meth:`take` of such a trace are column-born too.
+        """
+        trace = cls()
+        trace._records = None
+        trace._columns = columns
+        return trace
+
+    def _materialized(self) -> List[TraceRecord]:
+        if self._records is None:
+            columns = self._columns
+            self._records = list(
+                map(
+                    trusted_record,
+                    columns.contexts,
+                    columns.decisions,
+                    columns.rewards.tolist(),
+                    _none_if_nan(columns.propensities),
+                    _none_if_nan(columns.timestamps),
+                    repeat(None),
+                )
+            )
+        return self._records
+
     # -- container protocol -------------------------------------------------
 
     def append(self, record: TraceRecord) -> None:
         """Append one record, validating its type."""
         if not isinstance(record, TraceRecord):
             raise TraceError(f"expected TraceRecord, got {type(record).__name__}")
-        self._records.append(record)
+        self._materialized().append(record)
         self._columns = None
 
     def extend(self, records: Iterable[TraceRecord]) -> None:
@@ -447,23 +485,27 @@ class Trace:
             self.append(record)
 
     def __len__(self) -> int:
+        if self._records is None:
+            return len(self._columns)
         return len(self._records)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        return iter(self._materialized())
 
     def __getitem__(self, index):
         if isinstance(index, slice):
+            if self._records is None:
+                return Trace._from_columns(self._columns.sliced(index))
             sliced = Trace(self._records[index])
             if self._columns is not None:
                 sliced._columns = self._columns.sliced(index)
             return sliced
-        return self._records[index]
+        return self._materialized()[index]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        return self._records == other._records
+        return self._materialized() == other._materialized()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Trace(n={len(self)})"
@@ -473,9 +515,10 @@ class Trace:
     def columns(self) -> TraceColumns:
         """The columnar (structure-of-arrays) cache for this trace.
 
-        Built on first use, reused until the trace grows, and shared (as
-        numpy views) with slices taken after it is built.  Callers must
-        treat the returned arrays as read-only.
+        Built on first use (or handed over by :meth:`_from_columns`),
+        reused until the trace grows, and shared (as numpy views) with
+        slices taken after it is built.  Callers must treat the returned
+        arrays as read-only.
         """
         if self._columns is None:
             self._columns = TraceColumns.from_records(self._records)
@@ -518,12 +561,12 @@ class Trace:
 
     def filter(self, predicate: Callable[[TraceRecord], bool]) -> "Trace":
         """Records for which *predicate* is true, preserving order."""
-        return Trace(record for record in self._records if predicate(record))
+        return Trace(record for record in self if predicate(record))
 
     def map_rewards(self, transform: Callable[[TraceRecord], float]) -> "Trace":
         """A new trace with each reward replaced by ``transform(record)``."""
         return Trace(
-            record.with_reward(float(transform(record))) for record in self._records
+            record.with_reward(float(transform(record))) for record in self
         )
 
     def split(
@@ -536,31 +579,37 @@ class Trace:
         """
         if not 0.0 <= fraction <= 1.0:
             raise TraceError(f"fraction must lie in [0, 1], got {fraction}")
-        count = int(round(fraction * len(self._records)))
+        records = self._materialized()
+        count = int(round(fraction * len(records)))
         if rng is None:
-            return Trace(self._records[:count]), Trace(self._records[count:])
-        indices = rng.permutation(len(self._records))
+            return Trace(records[:count]), Trace(records[count:])
+        indices = rng.permutation(len(records))
         chosen = set(int(i) for i in indices[:count])
-        first = Trace(r for i, r in enumerate(self._records) if i in chosen)
-        second = Trace(r for i, r in enumerate(self._records) if i not in chosen)
+        first = Trace(r for i, r in enumerate(records) if i in chosen)
+        second = Trace(r for i, r in enumerate(records) if i not in chosen)
         return first, second
 
     def subsample(self, count: int, rng: np.random.Generator) -> "Trace":
         """A bootstrap-style random subsample of *count* records (without
         replacement), preserving trace order."""
-        if count > len(self._records):
+        if count > len(self):
             raise TraceError(
                 f"cannot subsample {count} records from a trace of {len(self)}"
             )
-        indices = sorted(rng.choice(len(self._records), size=count, replace=False))
+        indices = sorted(rng.choice(len(self), size=count, replace=False))
         return self.take(indices)
 
     def take(self, indices: Sequence[int]) -> "Trace":
         """A new trace of the records at *indices* (repeats allowed).
 
         Column caches carry over by fancy-indexing the parent's columns,
-        so bootstrap resamples skip the per-record rebuild.
+        so bootstrap resamples skip the per-record rebuild; a resample
+        of a column-born trace is column-born.
         """
+        if self._records is None:
+            return Trace._from_columns(
+                self._columns.taken(np.asarray(indices, dtype=np.intp))
+            )
         taken = Trace()
         taken._records = [self._records[int(i)] for i in indices]
         if self._columns is not None:
@@ -570,13 +619,13 @@ class Trace:
     def group_by_decision(self) -> Dict[Decision, "Trace"]:
         """Partition the trace by decision."""
         groups: Dict[Decision, List[TraceRecord]] = {}
-        for record in self._records:
+        for record in self:
             groups.setdefault(record.decision, []).append(record)
         return {decision: Trace(records) for decision, records in groups.items()}
 
     def mean_reward(self) -> float:
         """Average observed reward (the on-policy value of the old policy)."""
-        if not self._records:
+        if not len(self):
             raise TraceError("mean_reward of an empty trace is undefined")
         return float(self.rewards().mean())
 
@@ -610,7 +659,7 @@ class Trace:
         feature/decision types.
         """
         with open(path, "w", encoding="utf-8") as handle:
-            for record in self._records:
+            for record in self:
                 handle.write(json.dumps(_record_to_json(record)) + "\n")
 
     @classmethod
@@ -635,13 +684,13 @@ class Trace:
         CSV is lossy (all values become strings; composite decisions are
         JSON-encoded); prefer JSONL for exact round-trips.
         """
-        names = self.feature_names() if self._records else ()
+        names = self.feature_names() if len(self) else ()
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(
                 ["decision", "reward", "propensity", "timestamp", "state", *names]
             )
-            for record in self._records:
+            for record in self:
                 writer.writerow(
                     [
                         json.dumps(_encode_value(record.decision)),
@@ -687,6 +736,11 @@ class Trace:
                     )
                 )
         return cls(records)
+
+
+def _none_if_nan(column: np.ndarray) -> List[Optional[float]]:
+    """A float column as a list, ``None`` where it holds nan."""
+    return [None if value != value else value for value in column.tolist()]
 
 
 def _encode_value(value: Any) -> Any:

@@ -13,13 +13,15 @@ Two layers:
   identical — the benchmark asserts it on every run.
 
 Results land in ``benchmark_results/BENCH_estimators.json``; CI runs the
-quick variant and fails when fig7a throughput regresses more than 25%
-against a same-job warmup run (see :func:`check_against_baseline`).
+quick variant and fails when fig7a throughput, read against a reference
+computation timed beside it, regresses more than 25% against a same-job
+warmup run (see :func:`check_against_baseline`).
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 from typing import Callable, Dict, Optional
@@ -109,43 +111,82 @@ def bench_micro(repeats: int = 20, trace_size: int = 2000) -> Dict[str, float]:
     }
 
 
+_REFERENCE_PAYLOAD = {"values": [i * 0.37 for i in range(2_000)]}
+
+
+def _reference_seconds(repeats: int = 5) -> float:
+    """Median wall time of a fixed reference computation (interpreted
+    loops, dict writes and a ``json.dumps``, about 3 ms a run).
+
+    A shared host runs the same code up to twice as slow for tens of
+    seconds at a time.  A rate multiplied by a reading taken beside it
+    (runs per reference time) moves with the program, while a change in
+    the host's speed mostly cancels.
+    """
+    readings = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        table = {}
+        total = 0
+        for i in range(10_000):
+            total += i * i
+            table[i & 511] = total & 0xFFFF
+        json.dumps(_REFERENCE_PAYLOAD)
+        readings.append(time.perf_counter() - started)
+    return statistics.median(readings)
+
+
 def bench_fig7a(
-    runs: int, seed: int, workers: int, repeats: int = 2
+    runs: int, seed: int, workers: int, repeats: int = 5
 ) -> Dict[str, object]:
     """Time the fig7a sweep sequentially and with *workers* processes.
 
-    Each mode is timed *repeats* times, interleaved (seq, par, seq, par,
-    ...) so slow machine-load drift hits both modes alike, and the best
-    time per mode is reported — the measurement with the least noise,
-    which is what a throughput comparison between the two modes needs.
+    The modes are timed in *repeats* interleaved pairs (seq, par, seq,
+    par, ...), each pair after a :func:`_reference_seconds` reading.  The
+    gated figures are medians over the pairs, so one sample taken while
+    the host was slow does not decide them:
+
+    * ``sequential_runs_per_ref`` — sequential runs per reference time,
+      comparable across processes on the same hardware;
+    * ``parallel_speedup`` — sequential over parallel seconds within a
+      pair, which a change in the host's speed hits on both sides.
+
+    The best time per mode is reported as raw throughput.
     """
-    sequential_seconds = float("inf")
-    parallel_seconds = float("inf")
+    sequential_times, parallel_times, normalised = [], [], []
     sequential = parallel = None
     for _ in range(max(repeats, 1)):
+        reference = _reference_seconds()
         started = time.perf_counter()
         sequential = run_fig7a(runs=runs, seed=seed)
-        sequential_seconds = min(
-            sequential_seconds, time.perf_counter() - started
-        )
+        sequential_times.append(time.perf_counter() - started)
         started = time.perf_counter()
         parallel = run_fig7a(runs=runs, seed=seed, workers=workers)
-        parallel_seconds = min(parallel_seconds, time.perf_counter() - started)
+        parallel_times.append(time.perf_counter() - started)
+        normalised.append(runs * reference / sequential_times[-1])
     if sequential.summaries != parallel.summaries:
         raise SystemExit(
             "parallel execution changed the results: sequential and "
             f"workers={workers} sweeps must produce identical summaries"
         )
+    sequential_seconds = min(sequential_times)
+    parallel_seconds = min(parallel_times)
+    speedup = statistics.median(
+        s / p for s, p in zip(sequential_times, parallel_times)
+    )
     return {
         "runs": runs,
         "seed": seed,
+        "repeats": len(sequential_times),
         "sequential_seconds": sequential_seconds,
         "sequential_runs_per_second": runs / sequential_seconds,
+        "sequential_runs_per_ref": statistics.median(normalised),
         "workers": workers,
         "parallel_seconds": parallel_seconds,
         "parallel_runs_per_second": runs / parallel_seconds,
+        "parallel_speedup": speedup,
         "summaries_identical": True,
-        "parallel_beats_sequential": parallel_seconds < sequential_seconds,
+        "parallel_beats_sequential": speedup > 1.0,
     }
 
 
@@ -192,38 +233,44 @@ def check_against_baseline(
     """``None`` if fig7a throughput is within *tolerance* of the baseline
     at *baseline_path*, else a human-readable failure message.
 
-    The baseline may be a committed JSON (informational — numbers from
-    different hardware need a generous tolerance) or the ``--output`` of
-    a warmup run in the same job, which is what CI gates on: same
-    hardware, same load, so a tight relative tolerance is meaningful.
+    Both sides are read as ``sequential_runs_per_ref`` (runs per
+    reference time, see :func:`bench_fig7a`), so a baseline from a
+    warmup run in the same job compares on the host's speed of the
+    moment rather than its speed when the warmup ran.  A committed
+    baseline from other hardware still needs a generous tolerance: the
+    reference does not scale exactly as the sweep does across machines.
 
     Beyond the baseline comparison, the gate asserts the payload is
-    internally healthy: parallel throughput must reach at least
-    ``(1 - parallel_tolerance)`` of sequential throughput.  This is the
-    blind spot that let a parallel-*slower*-than-sequential pool ship
-    while the sequential-only gate stayed green; *parallel_tolerance*
-    absorbs scheduler noise, not a structurally slower pool.
+    internally healthy: the median per-pair ``parallel_speedup`` must
+    reach ``(1 - parallel_tolerance)``.  This is the blind spot that let
+    a parallel-*slower*-than-sequential pool ship while the
+    sequential-only gate stayed green; *parallel_tolerance* absorbs
+    scheduler noise, not a structurally slower pool.
     """
-    measured_parallel = float(payload["fig7a"]["parallel_runs_per_second"])
-    measured = float(payload["fig7a"]["sequential_runs_per_second"])
-    parallel_floor = (1.0 - parallel_tolerance) * measured
-    if measured_parallel < parallel_floor:
+    fig7a = payload["fig7a"]
+    speedup = float(fig7a["parallel_speedup"])
+    if speedup < 1.0 - parallel_tolerance:
         return (
-            "fig7a parallel throughput fell behind sequential: "
-            f"{measured_parallel:.2f} runs/s with "
-            f"workers={payload['fig7a']['workers']} is below "
-            f"{parallel_floor:.2f} runs/s "
-            f"({parallel_tolerance:.0%} under the sequential "
-            f"{measured:.2f} runs/s); the worker pool is overhead, "
-            "not parallelism"
+            "fig7a parallel throughput fell behind sequential: with "
+            f"workers={fig7a['workers']} the median of {fig7a['repeats']} "
+            f"interleaved pairs runs {speedup:.3f}x the sequential speed, "
+            f"below {1.0 - parallel_tolerance:.2f}x "
+            f"({parallel_tolerance:.0%} under sequential); the worker pool "
+            "is overhead, not parallelism"
         )
     committed = json.loads(Path(baseline_path).read_text())
-    reference = float(committed["fig7a"]["sequential_runs_per_second"])
-    floor = (1.0 - tolerance) * reference
+    reference = committed["fig7a"].get("sequential_runs_per_ref")
+    if reference is None:
+        return (
+            f"{baseline_path} records no sequential_runs_per_ref; "
+            "record it again with this version of repro bench"
+        )
+    measured = float(fig7a["sequential_runs_per_ref"])
+    floor = (1.0 - tolerance) * float(reference)
     if measured < floor:
         return (
-            f"fig7a throughput regressed: {measured:.2f} runs/s is below "
-            f"{floor:.2f} runs/s ({tolerance:.0%} under the baseline of "
-            f"{reference:.2f} runs/s in {baseline_path})"
+            f"fig7a throughput regressed: {measured:.4f} runs per reference "
+            f"time is below {floor:.4f} ({tolerance:.0%} under the baseline "
+            f"of {float(reference):.4f} in {baseline_path})"
         )
     return None

@@ -233,3 +233,106 @@ def test_mismatched_decision_raises_the_row_error():
         WiseRewardModel(factors).fit(trace)
     assert str(raised.value) == str(expected.value)
     assert "'fe-2'" in str(raised.value)
+
+
+# -- column-born traces ---------------------------------------------------------
+
+
+@pytest.fixture
+def record_calls(monkeypatch):
+    """Counts every record built, trusted or validated, in any module."""
+    import sys
+
+    from repro.core import types
+
+    calls = []
+    trusted, validated = types.trusted_record, TraceRecord.__init__
+
+    def counting_trusted(*args):
+        calls.append(args)
+        return trusted(*args)
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        validated(self, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "trusted_record", None) is trusted:
+            monkeypatch.setattr(module, "trusted_record", counting_trusted)
+    monkeypatch.setattr(TraceRecord, "__init__", counting_init)
+    return calls
+
+
+def _assert_same_columns(columns, expected):
+    for name in (
+        "rewards",
+        "propensities",
+        "timestamps",
+        "decision_codes",
+        "context_codes",
+    ):
+        got, want = getattr(columns, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    assert columns.decisions == expected.decisions
+    assert columns.decision_vocabulary == expected.decision_vocabulary
+    assert columns.contexts == expected.contexts
+    assert columns.feature_names() == expected.feature_names()
+
+
+@pytest.mark.parametrize("scenario", [WiseScenario()] + EDGE_SCENARIOS)
+def test_columns_equal_the_columns_of_their_records(scenario):
+    for seed in range(10):
+        trace = scenario.generate_trace(np.random.default_rng(seed))
+        records = Trace(list(trace)).columns()
+        _assert_same_columns(trace.columns(), records)
+        assert list(map(id, trace.columns().contexts)) == list(map(id, records.contexts))
+
+
+def test_a_fig7a_seed_builds_no_record(record_calls):
+    from repro.experiments.fig7 import run_fig7a
+
+    result = run_fig7a(runs=1, seed=5)
+    assert result.summaries
+    assert record_calls == []
+
+
+def test_column_born_trace_behaves_like_the_record_built_one(record_calls):
+    import pickle
+
+    scenario = WiseScenario(clients_per_arrow=40, clients_per_rare_combo=3)
+    trace = scenario.generate_trace(np.random.default_rng(3))
+    expected = _per_record_trace(scenario, np.random.default_rng(3))
+    # Views of built columns keep the parent's context numbering.
+    expected.columns().context_codes
+    del record_calls[:]
+
+    assert len(trace) == len(expected)
+    assert trace.feature_names() == ("isp",)
+    assert trace.has_propensities()
+    assert trace.decision_set() == expected.decision_set()
+    assert trace.mean_reward() == expected.mean_reward()
+    copied = pickle.loads(pickle.dumps(trace))
+    views = [trace[5:60], trace[::-3], trace.take([4, 0, 4, -1])]
+    views.append(trace.subsample(17, np.random.default_rng(8)))
+    for view in views:
+        view.columns()
+    assert record_calls == []
+
+    assert copied == trace == expected
+    assert copied.columns().rewards.tobytes() == expected.columns().rewards.tobytes()
+    assert trace[7] == expected[7]
+    assert all(r.state is None and r.timestamp is None for r in trace)
+    oracles = [expected[5:60], expected[::-3], expected.take([4, 0, 4, -1])]
+    oracles.append(expected.subsample(17, np.random.default_rng(8)))
+    for view, oracle in zip(views, oracles):
+        assert view == oracle
+        _assert_same_columns(view.columns(), oracle.columns())
+
+    extra = TraceRecord(ClientContext(isp="isp-2"), ("fe-1", "be-1"), 9.5, 0.25)
+    grown = scenario.generate_trace(np.random.default_rng(3))
+    grown.append(extra)
+    expected.append(extra)
+    assert len(grown) == len(expected)
+    assert grown == expected
+    _assert_same_columns(grown.columns(), expected.columns())

@@ -48,6 +48,38 @@ class TestConditionalTable:
         with pytest.raises(SimulationError):
             ConditionalTable("v", ("a", "b"), (), {(): (1.0,)})
 
+    def test_row_checks_match_isclose(self):
+        # The row-sum check is np.isclose(total, 1.0, atol=1e-6); rows are
+        # stored as array / total.
+        totals = [float("nan"), float("inf"), 1.0]
+        for edge in (1.0 - 1.1e-5, 1.0 + 1.1e-5):
+            value = edge
+            for _ in range(3):
+                value = np.nextafter(value, 0.0)
+            for _ in range(7):
+                totals.append(float(value))
+                value = np.nextafter(value, 2.0)
+        for total in totals:
+            row = np.array([0.25, total - 0.25])
+            if np.isclose(row.sum(), 1.0, atol=1e-6):
+                table = ConditionalTable("v", ("a", "b"), (), {(): row})
+                assert table.row(()).tobytes() == (row / row.sum()).tobytes()
+            else:
+                with pytest.raises(SimulationError, match="sums to"):
+                    ConditionalTable("v", ("a", "b"), (), {(): row})
+
+    def test_first_offending_row_is_named(self):
+        rows = {
+            ("x",): (0.5, 0.5),
+            ("y",): (0.5, float("nan")),
+            ("z",): (-0.5, 1.5),
+        }
+        with pytest.raises(SimulationError, match=r"\('y',\) sums to nan"):
+            ConditionalTable("v", ("a", "b"), ("p",), rows)
+        rows[("y",)] = (float("nan"), -1.0)
+        with pytest.raises(SimulationError, match="negative probability"):
+            ConditionalTable("v", ("a", "b"), ("p",), rows)
+
     def test_probability_lookup(self):
         table = ConditionalTable("v", ("a", "b"), (), {(): (0.3, 0.7)})
         assert table.probability("b", ()) == pytest.approx(0.7)
