@@ -14,10 +14,11 @@ BIC decomposes over families (a variable and its parent tuple), and one
 edge move changes at most two families, so the hill-climb never builds a
 network per candidate.  The learner integer-codes the dataset once
 (``learn`` codes rows; ``learn_codes``, the one hill-climb, takes columns
-a caller coded already, as the WISE model does from trace columns), scores
-each family it meets once (local log-likelihood of its smoothed CPT minus
-its parameter penalty, memoised for the duration of one call), and totals
-a candidate as the sum of its family scores in declared variable order.
+a caller coded already, as the WISE model does from trace columns) and
+keeps only its distinct rows and their counts.  It scores each family it
+meets once (the counts-weighted log of its smoothed CPT minus its
+parameter penalty, memoised for the duration of one call), and totals a
+candidate as the sum of its family scores in declared variable order.
 Acyclicity is a depth-first search over the parent lists.  Only the
 winning structure is fitted into a
 :class:`~repro.cbn.graph.BayesianNetwork`, once, at the end.
@@ -39,66 +40,52 @@ from repro.errors import SimulationError
 Row = Mapping[str, Value]
 
 
-def _domains_from_data(
-    data: Sequence[Row], variables: Sequence[str]
-) -> Dict[str, Tuple[Value, ...]]:
-    domains: Dict[str, List[Value]] = {v: [] for v in variables}
-    seen: Dict[str, set] = {v: set() for v in variables}
+def _coded_rows(
+    data: Sequence[Row],
+    variables: Sequence[str],
+    domains: Optional[Mapping[str, Sequence[Value]]] = None,
+) -> Tuple[Dict[str, np.ndarray], Dict[str, Tuple[Value, ...]]]:
+    """Per-observation ``intp`` codes of a row dataset and their domains:
+    inferred first-seen from the data, then overridden by any explicit
+    *domains*."""
+    found: Dict[str, Dict[Value, None]] = {v: {} for v in variables}
     for row in data:
         for variable in variables:
             if variable not in row:
                 raise SimulationError(f"data row missing variable {variable!r}")
-            value = row[variable]
-            if value not in seen[variable]:
-                seen[variable].add(value)
-                domains[variable].append(value)
-    return {v: tuple(values) for v, values in domains.items()}
+            found[variable][row[variable]] = None
+    resolved = {v: tuple(values) for v, values in found.items()}
+    resolved.update((v, tuple(domain)) for v, domain in (domains or {}).items())
+    codes: Dict[str, np.ndarray] = {}
+    for variable in variables:
+        index = {value: i for i, value in enumerate(resolved[variable])}
+        codes[variable] = np.fromiter(
+            (index[row[variable]] for row in data), dtype=np.intp, count=len(data)
+        )
+    return codes, resolved
 
 
 class _EncodedDataset:
-    """Integer-coded columns of a row dataset.
+    """The distinct rows of an integer-coded dataset, built once per
+    learn/fit call: ``codes[v][j]`` indexes ``domains[v]`` for distinct
+    row *j*, which ``weights[j]`` of the *n* observations equal (a WISE
+    dataset has at most 16 distinct rows)."""
 
-    ``codes[v][k]`` is the position of row *k*'s value in ``domains[v]``
-    (domains inferred first-seen from the data, then overridden by any
-    explicit domains).  Built once per learn/fit call and shared across
-    every candidate structure; :meth:`from_codes` wraps columns a caller
-    coded already.
-    """
-
-    __slots__ = ("n", "domains", "codes")
+    __slots__ = ("n", "domains", "codes", "weights")
 
     def __init__(
         self,
-        data: Sequence[Row],
-        variables: Sequence[str],
-        domains: Optional[Mapping[str, Sequence[Value]]] = None,
-    ):
-        resolved = dict(_domains_from_data(data, variables))
-        if domains is not None:
-            for variable, domain in domains.items():
-                resolved[variable] = tuple(domain)
-        self.n = len(data)
-        self.domains: Dict[str, Tuple[Value, ...]] = resolved
-        self.codes: Dict[str, np.ndarray] = {}
-        for variable in variables:
-            index = {value: i for i, value in enumerate(resolved[variable])}
-            self.codes[variable] = np.fromiter(
-                (index[row[variable]] for row in data), dtype=np.intp, count=self.n
-            )
-
-    @classmethod
-    def from_codes(
-        cls,
         codes: Mapping[str, np.ndarray],
         domains: Mapping[str, Sequence[Value]],
-    ) -> "_EncodedDataset":
-        """Wrap pre-coded ``intp`` columns: ``codes[v][k]`` indexes
-        ``domains[v]``, and every column has one entry per row."""
-        encoded = object.__new__(cls)
-        encoded.n = len(next(iter(codes.values()), ()))
-        encoded.domains = {v: tuple(domain) for v, domain in domains.items()}
-        encoded.codes = dict(codes)
-        return encoded
+    ):
+        columns = list(codes.values())
+        self.n = len(columns[0]) if columns else 0
+        self.domains = {v: tuple(domain) for v, domain in domains.items()}
+        rows = firsts = np.zeros(0, dtype=np.intp)
+        if columns:
+            rows, firsts = kernels.first_seen_codes(*columns)
+        self.codes = {v: column[firsts] for v, column in codes.items()}
+        self.weights = np.bincount(rows, minlength=len(firsts))
 
 
 def _validated_order(structure: Mapping[str, Sequence[str]]) -> List[str]:
@@ -123,24 +110,24 @@ def _family_cpt(
     parents: Sequence[str],
     smoothing: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Laplace-smoothed MLE CPT of *variable* given *parents*, plus each
-    row's CPT row index.
+    """Laplace-smoothed MLE CPT of *variable* given *parents*, plus the
+    raw counts it was built from.
 
     Parent-value combinations map to flat row indices in row-major
     ``itertools.product`` order (first parent most significant), so one
-    ``np.add.at`` accumulates every count.
+    count over the distinct rows, weighted by their multiplicities, fills
+    every cell; the smoothing is added once.
     """
     row_count = 1
-    flat = np.zeros(encoded.n, dtype=np.intp)
+    flat = np.zeros(len(encoded.weights), dtype=np.intp)
     for parent in parents:
         size = len(encoded.domains[parent])
         row_count *= size
         flat = flat * size + encoded.codes[parent]
-    counts = np.full(
-        (row_count, len(encoded.domains[variable])), smoothing, dtype=float
-    )
-    kernels.cpt_accumulate(counts, flat, encoded.codes[variable])
-    return counts / counts.sum(axis=1, keepdims=True), flat
+    raw = np.zeros((row_count, len(encoded.domains[variable])))
+    kernels.cpt_accumulate(raw, flat, encoded.codes[variable], encoded.weights)
+    counts = raw + smoothing
+    return counts / counts.sum(axis=1, keepdims=True), raw
 
 
 def _fit_encoded(
@@ -167,12 +154,12 @@ def _family_score(
     parents: Tuple[str, ...],
     smoothing: float,
 ) -> float:
-    """Local BIC of one family: Σ_rows log θ[parent combination, value]
-    − ½ · combinations · (|domain| − 1) · log n, with θ the CPT
+    """Local BIC of one family: Σ_cells count · log θ[cell] − ½ ·
+    combinations · (|domain| − 1) · log n, with θ the CPT
     :func:`_fit_encoded` would build."""
-    cpt, flat = _family_cpt(encoded, variable, parents, smoothing)
+    cpt, raw = _family_cpt(encoded, variable, parents, smoothing)
     rows, size = cpt.shape
-    return float(np.log(cpt[flat, encoded.codes[variable]]).sum()) - (
+    return float(raw.ravel() @ np.log(cpt).ravel()) - (
         0.5 * rows * (size - 1) * math.log(encoded.n)
     )
 
@@ -215,7 +202,7 @@ def fit_parameters(
     if smoothing <= 0:
         raise SimulationError(f"smoothing must be positive, got {smoothing}")
     order = _validated_order(structure)
-    encoded = _EncodedDataset(data, list(structure.keys()), domains)
+    encoded = _EncodedDataset(*_coded_rows(data, list(structure.keys()), domains))
     return _fit_encoded(encoded, structure, order, smoothing)
 
 
@@ -288,8 +275,7 @@ class StructureLearner:
         then :meth:`learn_codes`."""
         if not data:
             raise SimulationError("cannot learn a structure from empty data")
-        encoded = _EncodedDataset(data, list(variables), domains)
-        return self.learn_codes(encoded.codes, encoded.domains)
+        return self.learn_codes(*_coded_rows(data, list(variables), domains))
 
     def learn_codes(
         self,
@@ -302,7 +288,7 @@ class StructureLearner:
         position of observation *k*'s value in ``domains[v]``.  This is
         the one hill-climb: :meth:`learn` codes its rows and calls it.
         """
-        encoded = _EncodedDataset.from_codes(codes, domains)
+        encoded = _EncodedDataset(codes, domains)
         if codes and not encoded.n:
             raise SimulationError("cannot learn a structure from empty data")
         variables = list(codes)

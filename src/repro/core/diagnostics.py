@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.core.estimators.base import checked_importance_ratio, weight_diagnostics
 from repro.core.policy import Policy
 from repro.core.propensity import PropensityModel, PropensitySource
@@ -87,7 +88,8 @@ def overlap_columns(
 ) -> Tuple[np.ndarray, np.ndarray, int, Counter]:
     """One chunk's overlap columns, starting at absolute record *cursor*:
     the logging and new-policy propensities of the logged decisions, the
-    count of greedy matches and the per-decision counts."""
+    count of greedy matches (decided once per distinct (context, decision
+    code) pair) and the per-decision counts, first seen first."""
     columns = chunk.columns()
     try:
         old = source.propensity_batch(chunk)
@@ -97,8 +99,15 @@ def overlap_columns(
         raise
     new = new_policy.propensity_batch(columns.decisions, columns.contexts)
     greedy = new_policy.greedy_decision_batch(columns.contexts)
-    matches = sum(decision == best for decision, best in zip(columns.decisions, greedy))
-    return old, new, matches, Counter(columns.decisions)
+    decisions, codes = columns.decisions, columns.decision_codes
+    pairs, firsts = kernels.first_seen_codes(columns.context_codes, codes)
+    hits = [decisions[first] == greedy[first] for first in firsts.tolist()]
+    matches = int(np.bincount(pairs) @ np.asarray(hits, dtype=np.intp))
+    seen, firsts = kernels.first_seen_codes(codes)
+    coverage: Counter = Counter()
+    for first, count in zip(firsts.tolist(), np.bincount(seen).tolist()):
+        coverage[decisions[first]] += count
+    return old, new, matches, coverage
 
 
 def overlap_report(

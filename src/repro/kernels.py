@@ -1,15 +1,16 @@
 """The estimator stack's hot-path arithmetic as plain numpy functions.
 
 The per-record arithmetic — the ridge normal-equations solve, the kNN
-distance/top-k selection, the CPT/bucket ``np.add.at`` accumulations,
+distance/top-k selection, the CPT counts and bucket accumulations,
 and the DR/SNDR gather-columns-reduce-once reductions — lives here once,
 so an estimator that needs new arithmetic has one obvious place to add
 it.
 
 The float kernels are the historical inline expressions, moved
 verbatim; none may be "optimised" in a way that changes rounding:
-``np.add.at`` accumulates in index order, elementwise ufunc chains round
-after every operation (no FMA), and the ridge solve keeps its exact
+bucket sums accumulate in index order, CPT counts are whole numbers
+(exact in any order), elementwise ufunc chains round after every
+operation (no FMA), and the ridge solve keeps its exact
 centring → gram → solve sequence.  The stream-vs-dense, parallel and
 live equivalence suites compare estimates byte for byte and would catch
 a last-ulp drift.  The integer :func:`first_seen_codes` answers to a
@@ -32,9 +33,13 @@ def get_backend():
     return sys.modules[__name__]
 
 
-def cpt_accumulate(counts: np.ndarray, rows: np.ndarray, codes: np.ndarray) -> None:
-    """``counts[rows[i], codes[i]] += 1.0`` in record order."""
-    np.add.at(counts, (rows, codes), 1.0)
+def cpt_accumulate(
+    counts: np.ndarray, rows: np.ndarray, codes: np.ndarray, weights=None
+) -> None:
+    """``counts[rows[i], codes[i]] += weights[i]`` (``1.0`` without
+    *weights*), as one ``np.bincount`` over the flattened cell index."""
+    cells = np.bincount(rows * counts.shape[1] + codes, weights, counts.size)
+    counts += cells.reshape(counts.shape)
 
 
 def bucket_accumulate(

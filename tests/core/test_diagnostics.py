@@ -59,6 +59,25 @@ class TestOverlapReport:
         assert sum(report.decision_coverage.values()) == 300
         assert set(report.decision_coverage) == {"a", "b", "c"}
 
+    def test_slice_coverage_and_matches_count_its_own_records(self, abc_space):
+        # Two context objects; the slice drops every "a" record, so its
+        # vocabulary (the parent's, in code order a, c, b) holds a
+        # decision the slice never contains.
+        left, right = ClientContext(x=0.0), ClientContext(x=1.0)
+        logged = [(left, "a"), (right, "c"), (left, "b"), (right, "c"), (left, "c")]
+        logged += [(right, "b"), (left, "b"), (right, "c")]
+        trace = Trace([TraceRecord(c, d, 1.0, propensity=0.5) for c, d in logged])
+        trace.columns()  # built first, so the slice shares the parent's codes
+        part = trace[1:]
+        assert part.columns().decision_vocabulary == ("a", "c", "b")
+        new = core.DeterministicPolicy(
+            abc_space, lambda context: "c" if context is right else "b"
+        )
+        report = overlap_report(new, part)
+        assert list(report.decision_coverage.items()) == [("c", 4), ("b", 3)]
+        # Greedy matches: right→"c" three times, left→"b" twice.
+        assert report.match_fraction == 5 / 7
+
     def test_render_contains_key_lines(self, abc_space, rng):
         trace = make_uniform_trace(abc_space, _truth, rng, n=100)
         report = overlap_report(core.UniformRandomPolicy(abc_space), trace)

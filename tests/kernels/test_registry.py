@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro import kernels
 
@@ -17,6 +18,28 @@ class TestNumpyKernels:
         kernels.cpt_accumulate(counts, rows, codes)
         np.add.at(expected, (rows, codes), 1.0)
         assert np.array_equal(counts, expected)
+
+    @pytest.mark.parametrize("start", [0.0, 1.0, 0.5, 3.0])
+    def test_cpt_accumulate_duplicate_cells_match_add_at(self, start):
+        # Every record hits one of three cells, most of them many times.
+        rows = np.asarray([1, 1, 1, 0, 1, 2, 0, 1, 2, 2, 1] * 7, dtype=np.intp)
+        codes = np.asarray([0, 0, 0, 2, 0, 1, 2, 0, 1, 1, 0] * 7, dtype=np.intp)
+        counts = np.full((3, 3), start)
+        expected = counts.copy()
+        kernels.cpt_accumulate(counts, rows, codes)
+        np.add.at(expected, (rows, codes), 1.0)
+        assert counts.tobytes() == expected.tobytes()
+
+    def test_cpt_accumulate_weights_count_repeated_rows(self):
+        rows = np.asarray([0, 1, 0], dtype=np.intp)
+        codes = np.asarray([1, 0, 1], dtype=np.intp)
+        weights = np.asarray([4, 2, 3])
+        counts = np.zeros((2, 2))
+        kernels.cpt_accumulate(counts, rows, codes, weights)
+        expected = np.zeros((2, 2))
+        np.add.at(expected, (np.repeat(rows, weights), np.repeat(codes, weights)), 1.0)
+        assert counts.tobytes() == expected.tobytes()
+        assert counts.tolist() == [[0.0, 7.0], [2.0, 0.0]]
 
     def test_bucket_accumulate_skips_negative_ids(self):
         sums = np.zeros(3)
