@@ -2,14 +2,18 @@
 
 The paper uses min/max over repeated simulation runs to show estimator
 spread (Fig 7).  For a single real trace, the bootstrap provides the
-analogous spread: resample records with replacement, re-run the
-estimator, and read quantiles off the resampled values.
+analogous spread: resample records with replacement, re-evaluate the
+estimator on the resample, and read quantiles off the resampled values.
+
+The trace is scored once: re-evaluating a stream estimator on a resample
+is its ``_stream_finalize`` over the point estimate's per-record columns
+at the resampled positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +46,44 @@ class BootstrapResult:
         )
 
 
+def _resampled(
+    estimator, new_policy, trace, old_policy, propensity_model, draws
+) -> Tuple[float, np.ndarray, int]:
+    """Score *trace* once, then re-evaluate on each index array
+    ``draws(n)`` yields over the n records scored (a quarantined reader's
+    survivors): ``(point estimate, values, resamples that raised)``."""
+    inputs = {"old_policy": old_policy, "propensity_model": propensity_model}
+    hooked = getattr(type(estimator), "_stream_finalize", None)
+    if hooked in (None, OffPolicyEstimator._stream_finalize):
+        # No stream hooks (fallback chain, replay-DR, state-aware DR): re-estimate.
+        point, n = estimator.estimate(new_policy, trace, **inputs).value, len(trace)
+
+        def resample(indices):
+            return estimator.estimate(new_policy, trace.take(indices), **inputs).value
+
+    else:
+        # Imported lazily — repro.store depends on repro.core.
+        from repro.store.streaming import PanelPass
+
+        panel = PanelPass.covering(
+            new_policy, trace, old_policy, propensity_model, estimator
+        )
+        point, columns = panel.estimate(estimator).value, panel.columns(estimator)
+        n = len(next(iter(columns.values())))
+
+        def resample(indices):
+            taken = {key: column[indices] for key, column in columns.items()}
+            return estimator._stream_finalize(taken, len(indices)).value
+
+    values, degenerate = [], 0
+    for indices in draws(n):
+        try:
+            values.append(resample(indices))
+        except EstimatorError:
+            degenerate += 1
+    return point, np.asarray(values, dtype=float), degenerate
+
+
 def bootstrap_ci(
     estimator: OffPolicyEstimator,
     new_policy: Policy,
@@ -54,57 +96,42 @@ def bootstrap_ci(
 ) -> BootstrapResult:
     """Percentile-bootstrap confidence interval for an estimator's value.
 
-    Each replicate resamples the trace with replacement and re-runs the
-    estimator on the resample.  A reward model is *not* refit per
-    replicate: model-based estimators fit only an unfitted model, so the
-    model the point estimate fitted on *trace* scores every replicate
-    and the interval omits model-fitting variability.  Replicates on which
-    the estimator fails (e.g. a resample with no overlap) are skipped; if
-    fewer than half survive, an :class:`EstimatorError` is raised.
+    Each replicate resamples the records with replacement (the survivors,
+    on a reader opened with ``on_corruption="quarantine"``).  A reward
+    model is *not* refit per replicate: the model the point estimate fit
+    on *trace* scores every replicate, a cross-fitted one from the fold
+    that held each record out, so the interval omits model-fitting
+    variability.  Replicates on which the estimator fails (e.g. a
+    resample with no overlap) are skipped; if fewer than half survive, an
+    :class:`EstimatorError` is raised.
     """
     if replicates < 2:
         raise EstimatorError(f"need at least 2 replicates, got {replicates}")
     if not 0.0 < confidence < 1.0:
         raise EstimatorError(f"confidence must lie in (0, 1), got {confidence}")
     generator = ensure_rng(rng)
+
+    def draws(n):
+        return (generator.integers(0, n, size=n) for _ in range(replicates))
+
     with span("bootstrap", estimator=estimator.name, replicates=replicates):
-        point = estimator.estimate(
-            new_policy, trace, old_policy=old_policy, propensity_model=propensity_model
-        ).value
-        n = len(trace)
-        values = []
-        degenerate = 0
-        for _ in range(replicates):
-            indices = generator.integers(0, n, size=n)
-            # take() fancy-indexes the columnar cache built by the point
-            # estimate, so replicates skip the per-record column rebuild.
-            resampled = trace.take(indices)
-            try:
-                value = estimator.estimate(
-                    new_policy,
-                    resampled,
-                    old_policy=old_policy,
-                    propensity_model=propensity_model,
-                ).value
-            except EstimatorError:
-                degenerate += 1
-                continue
-            values.append(value)
-    if len(values) < replicates / 2:
+        point, values, degenerate = _resampled(
+            estimator, new_policy, trace, old_policy, propensity_model, draws
+        )
+    if values.size < replicates / 2:
         raise EstimatorError(
-            f"only {len(values)}/{replicates} bootstrap replicates succeeded "
+            f"only {values.size}/{replicates} bootstrap replicates succeeded "
             f"({degenerate} degenerate resamples); the trace has too little "
             "overlap for stable resampling"
         )
-    replicate_values = np.asarray(values, dtype=float)
     alpha = (1.0 - confidence) / 2.0
-    lower, upper = np.quantile(replicate_values, [alpha, 1.0 - alpha])
+    lower, upper = np.quantile(values, [alpha, 1.0 - alpha])
     return BootstrapResult(
         point_estimate=point,
         lower=float(lower),
         upper=float(upper),
-        std=float(replicate_values.std(ddof=1)),
-        replicates=replicate_values,
+        std=float(values.std(ddof=1)),
+        replicates=values,
         confidence=confidence,
     )
 
@@ -119,39 +146,27 @@ def jackknife_std_error(
 ) -> float:
     """Leave-one-out jackknife standard error of the estimator value.
 
-    For long traces, *max_leave_out* caps the number of leave-one-out
-    evaluations by sampling which records to leave out (a random-subset
-    jackknife), keeping cost linear in the cap.
+    An unfitted reward model fits once, on every record.  For long
+    traces, *max_leave_out* caps the number of leave-one-out evaluations
+    by sampling which records to leave out (a random-subset jackknife).
     """
-    n = len(trace)
-    if n < 3:
+    if len(trace) < 3:
         raise EstimatorError("jackknife needs at least 3 records")
-    indices = list(range(n))
-    if max_leave_out is not None and max_leave_out < n:
-        generator = ensure_rng(rng)
-        indices = sorted(
-            int(i)
-            for i in generator.choice(n, size=max_leave_out, replace=False)
-        )
-    values = []
-    degenerate = 0
+
+    def leave_outs(n):
+        kept = range(n)
+        if max_leave_out is not None and max_leave_out < n:
+            kept = sorted(ensure_rng(rng).choice(n, size=max_leave_out, replace=False))
+        return (np.delete(np.arange(n), leave_out) for leave_out in kept)
+
     with span("jackknife", estimator=estimator.name):
-        for leave_out in indices:
-            reduced = trace.take(
-                [index for index in range(n) if index != leave_out]
-            )
-            try:
-                values.append(
-                    estimator.estimate(new_policy, reduced, old_policy=old_policy).value
-                )
-            except EstimatorError:
-                degenerate += 1
-                continue
-    if len(values) < 2:
+        _, values, degenerate = _resampled(
+            estimator, new_policy, trace, old_policy, None, leave_outs
+        )
+    if values.size < 2:
         raise EstimatorError(
             f"too few successful jackknife evaluations "
             f"({degenerate} leave-outs raised EstimatorError)"
         )
-    values_array = np.asarray(values, dtype=float)
-    m = values_array.size
-    return float(np.sqrt((m - 1) / m * ((values_array - values_array.mean()) ** 2).sum()))
+    m = values.size
+    return float(np.sqrt((m - 1) / m * ((values - values.mean()) ** 2).sum()))

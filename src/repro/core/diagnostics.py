@@ -120,19 +120,18 @@ def overlap_report(
 ) -> OverlapReport:
     """Compute an :class:`OverlapReport` for evaluating *new_policy* on *trace*.
 
-    The columns come from one streaming pass
-    (:func:`repro.store.streaming.stream_overlap`, shared with the
-    estimators of an ``api.compare`` panel; an in-memory trace is one
-    chunk), gathered per record and reduced once so every chunking
-    agrees; a chunked trace is never materialised, and a quarantining
-    reader's accounted shortfall is reported over the surviving records.
+    The columns come from one streaming pass (an ``api.compare`` panel's
+    :class:`repro.store.streaming.PanelPass`, else one of their own; an
+    in-memory trace is one chunk), gathered per record and reduced once
+    so every chunking agrees; a chunked trace is never materialised, and
+    a quarantining reader's accounted shortfall is reported over the
+    surviving records.
     """
     # Imported lazily — repro.store depends on repro.core.
-    from repro.store.streaming import stream_overlap
+    from repro.store.streaming import PanelPass
 
-    old, new, matches, coverage = stream_overlap(
-        new_policy, trace, old_policy, propensity_model
-    )
+    panel = PanelPass.covering(new_policy, trace, old_policy, propensity_model)
+    old, new, matches, coverage = panel.overlap_columns()
     n = len(old)
     stats = weight_diagnostics(checked_importance_ratio(new, old))
     warnings: List[str] = []

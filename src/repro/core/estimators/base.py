@@ -15,13 +15,9 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro import kernels
-from repro.core.contracts import check_trace, check_trace_columns, check_weights
+from repro.core.contracts import check_trace_columns, check_weights
 from repro.core.policy import Policy
-from repro.core.propensity import (
-    PropensityModel,
-    PropensitySource,
-    resolve_propensity_source,
-)
+from repro.core.propensity import PropensityModel, PropensitySource
 from repro.core.types import Trace
 from repro.errors import EstimatorError
 from repro.obs.spans import observe, recording, set_gauge, span
@@ -101,15 +97,9 @@ class OffPolicyEstimator(abc.ABC):
     :class:`Trace` is one chunk at offset 0, a chunked trace is read
     chunk by chunk, and either way the engine validates each chunk and
     resolves the propensity source (old policy object > fitted
-    propensity model > logged per-record propensities).
-
-    An estimator whose value is not a function of per-record columns
-    may instead define ``_estimate(new_policy, trace, propensities)``:
-    on an in-memory trace :meth:`estimate` validates the trace, resolves
-    the source (``None`` when :attr:`requires_propensities` is false)
-    and hands both to it; chunked traces still go to the engine, which
-    refuses them.  No shipped estimator takes this branch (the fallback
-    chain overrides :meth:`estimate` itself); only test doubles do.
+    propensity model > logged per-record propensities).  The fallback
+    chain, whose value is no function of per-record columns, overrides
+    :meth:`estimate` itself.
     """
 
     #: Whether the estimator needs old-policy propensities at all (the
@@ -149,27 +139,17 @@ class OffPolicyEstimator(abc.ABC):
         with span("estimate", estimator=self.name):
             if len(trace) == 0:
                 raise EstimatorError("cannot estimate from an empty trace")
-            dense = getattr(self, "_estimate", None)
-            if dense is not None and not hasattr(trace, "iter_chunks"):
-                check_trace(trace, where=f"{self.name} input trace")
-                source: Optional[PropensitySource] = None
-                if self.requires_propensities:
-                    source = resolve_propensity_source(
-                        trace, old_policy, propensity_model, floor=propensity_floor
-                    )
-                result = dense(new_policy, trace, source)
-            else:
-                # Imported lazily — repro.store depends on repro.core.
-                from repro.store.streaming import stream_estimate
+            # Imported lazily — repro.store depends on repro.core.
+            from repro.store.streaming import stream_estimate
 
-                result = stream_estimate(
-                    self,
-                    new_policy,
-                    trace,
-                    old_policy=old_policy,
-                    propensity_model=propensity_model,
-                    propensity_floor=propensity_floor,
-                )
+            result = stream_estimate(
+                self,
+                new_policy,
+                trace,
+                old_policy=old_policy,
+                propensity_model=propensity_model,
+                propensity_floor=propensity_floor,
+            )
             if recording():
                 observe_estimate_metrics(result)
             return result

@@ -339,7 +339,7 @@ class TraceColumns:
         )
 
     def taken(self, indices: np.ndarray) -> "TraceColumns":
-        """Columns for a fancy-indexed selection (bootstrap resamples)."""
+        """Columns for a fancy-indexed selection (:meth:`Trace.take`)."""
         return TraceColumns(
             self.rewards[indices],
             self.propensities[indices],
@@ -602,9 +602,8 @@ class Trace:
     def take(self, indices: Sequence[int]) -> "Trace":
         """A new trace of the records at *indices* (repeats allowed).
 
-        Column caches carry over by fancy-indexing the parent's columns,
-        so bootstrap resamples skip the per-record rebuild; a resample
-        of a column-born trace is column-born.
+        Column caches carry over by fancy-indexing the parent's columns;
+        a selection from a column-born trace is column-born.
         """
         if self._records is None:
             return Trace._from_columns(

@@ -379,10 +379,11 @@ def _forks(trace, workers: int) -> bool:
 class PanelPass:
     """One read and one fit for a panel of estimators, forked at most once.
 
-    Inside ``with PanelPass(...):`` the pass answers every
-    :func:`stream_estimate` call for one of its *estimators* and, with
-    ``overlap=True``, every :func:`stream_overlap` call, on the same
-    trace, policy and propensity arguments.  The first call streams the
+    Inside ``with PanelPass(...):`` the pass (see :meth:`covering`)
+    answers every :func:`stream_estimate` call and every bootstrap or
+    jackknife (:meth:`columns`) for one of its *estimators* and, with
+    ``overlap=True``, every ``overlap_report``, on the same trace,
+    policy and propensity arguments.  The first call streams the
     trace once for all of them; members finalize on request.  An
     in-memory trace is one chunk at offset 0: it has no plan, never
     forks, ignores ``REPRO_STREAM_WORKERS`` and counts no
@@ -426,16 +427,38 @@ class PanelPass:
     def __exit__(self, *exc_info) -> None:
         _ACTIVE.reset(self._token)
 
-    @staticmethod
-    def active(
-        new_policy, trace, old_policy, propensity_model
-    ) -> Optional["PanelPass"]:
-        """The entered pass over exactly these arguments, if any."""
+    @classmethod
+    def covering(
+        cls,
+        new_policy: Policy,
+        trace,
+        old_policy: Optional[Policy] = None,
+        propensity_model: Optional[PropensityModel] = None,
+        estimator=None,
+        propensity_floor: Optional[float] = None,
+        workers: Optional[int] = None,
+    ) -> "PanelPass":
+        """The pass that answers *estimator* (the overlap columns when
+        ``None``) on these arguments: the entered pass over exactly them
+        when it covers that at this floor, else a pass of its own."""
         panel = _ACTIVE.get()
         key = (new_policy, trace, old_policy, propensity_model)
         if panel is not None and all(a is b for a, b in zip(panel.key, key)):
-            return panel
-        return None
+            if estimator is None and panel.overlap:
+                return panel
+            members = panel.members if panel.floor == propensity_floor else ()
+            if any(member is estimator for member in members):
+                return panel
+        return cls(
+            new_policy,
+            trace,
+            () if estimator is None else [estimator],
+            old_policy=old_policy,
+            propensity_model=propensity_model,
+            propensity_floor=propensity_floor,
+            overlap=estimator is None,
+            workers=workers,
+        )
 
     def estimate(self, estimator) -> EstimateResult:
         """*estimator*'s result, bit-identical to streaming it alone."""
@@ -454,6 +477,13 @@ class PanelPass:
         if index in failures:
             raise failures[index]
         return self._results[index]
+
+    def columns(self, estimator) -> Dict[str, np.ndarray]:
+        """The columns :meth:`estimate` reduced for *estimator*: one
+        entry per surviving record, in trace order."""
+        self.estimate(estimator)
+        gather = next(g for m, g in zip(self.members, self._gathers) if m is estimator)
+        return {key: buffer[: self._length] for key, buffer in gather.buffers.items()}
 
     def overlap_columns(self) -> Tuple[np.ndarray, np.ndarray, int, Counter]:
         """The overlap report's gathered ``(old, new, matches, coverage)``."""
@@ -606,9 +636,8 @@ def stream_estimate(
     Normally reached via ``estimator.estimate(policy, trace)``.  A
     chunked trace streams in bounded memory; an in-memory ``Trace`` is
     one chunk at offset 0.  The result is bit-identical for every
-    chunking (see the module docstring for why).  An entered
-    :class:`PanelPass` with *estimator* among its members answers from
-    its shared read; otherwise *estimator* streams as a one-member pass.
+    chunking (see the module docstring for why), whichever pass
+    :meth:`PanelPass.covering` picks to answer it.
 
     Degraded reads: a trace opened with ``on_corruption="quarantine"``
     may stream fewer records than ``len(trace)``, skipping shards it
@@ -638,37 +667,13 @@ def stream_estimate(
         accounts for — a corrupt or racing shard directory; or when
         every shard was quarantined and no records survive.
     """
-    panel = PanelPass.active(new_policy, trace, old_policy, propensity_model)
-    members = panel.members if panel is not None else ()
-    if not any(m is estimator for m in members) or panel.floor != propensity_floor:
-        panel = PanelPass(
-            new_policy,
-            trace,
-            [estimator],
-            old_policy=old_policy,
-            propensity_model=propensity_model,
-            propensity_floor=propensity_floor,
-            workers=workers,
-        )
+    panel = PanelPass.covering(
+        new_policy,
+        trace,
+        old_policy,
+        propensity_model,
+        estimator,
+        propensity_floor,
+        workers,
+    )
     return panel.estimate(estimator)
-
-
-def stream_overlap(
-    new_policy: Policy,
-    trace,
-    old_policy: Optional[Policy] = None,
-    propensity_model: Optional[PropensityModel] = None,
-) -> Tuple[np.ndarray, np.ndarray, int, Counter]:
-    """The overlap report's columns over *trace*: from the entered
-    :class:`PanelPass` when it covers this call, else from a member-less
-    pass of their own."""
-    panel = PanelPass.active(new_policy, trace, old_policy, propensity_model)
-    if panel is None or not panel.overlap:
-        panel = PanelPass(
-            new_policy,
-            trace,
-            old_policy=old_policy,
-            propensity_model=propensity_model,
-            overlap=True,
-        )
-    return panel.overlap_columns()

@@ -141,13 +141,16 @@ class TestModelFailuresSurface:
             def name(self):
                 return "flaky"
 
-            def _estimate(self, new_policy, trace, propensities):
+            def _stream_chunk(self, new_policy, chunk, propensities, offset):
+                return {"rewards": chunk.columns().rewards}
+
+            def _stream_finalize(self, columns, n):
                 self.calls += 1
                 if self.calls > 1 and self.calls % 3 != 0:  # point est. ok,
                     raise EstimatorError("degenerate resample")  # ~67% fail
                 from repro.core.estimators.base import result_from_contributions
 
-                return result_from_contributions("flaky", trace.rewards())
+                return result_from_contributions("flaky", columns["rewards"])
 
         trace = Trace([_record(decision="c", reward=2.0)] * 20)
         with pytest.raises(EstimatorError):

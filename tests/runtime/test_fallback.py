@@ -162,7 +162,7 @@ class _AlwaysFails(core.OffPolicyEstimator):
     def name(self):
         return "broken"
 
-    def _estimate(self, new_policy, trace, propensities):
+    def _stream_chunk(self, new_policy, chunk, propensities, offset):
         raise EstimatorError("injected: this link always fails")
 
 
