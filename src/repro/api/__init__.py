@@ -42,6 +42,7 @@ from repro.api.specs import (
 from repro.core.bootstrap import BootstrapResult, bootstrap_ci
 from repro.core.diagnostics import overlap_report
 from repro.core.estimators import EstimateResult, OffPolicyEstimator
+from repro.core.estimators.base import streams
 from repro.core.models.base import RewardModel
 from repro.core.policy import Policy
 from repro.core.propensity import PropensityModel
@@ -111,6 +112,7 @@ def _resolve_estimator(
     model: Optional[RewardModel],
     clip: Optional[float],
     registry: Registry,
+    rng,
 ) -> OffPolicyEstimator:
     """Build (or pass through) the estimator for one :func:`evaluate`."""
     if isinstance(estimator, OffPolicyEstimator):
@@ -128,9 +130,9 @@ def _resolve_estimator(
                 "name; an estimator config carries its own model/clip "
                 "options"
             )
-        return resolve_estimator_config(estimator, registry=registry)
+        return resolve_estimator_config(estimator, registry=registry, rng=rng)
     return _adapt_estimator(
-        registry.build_estimator(estimator, model=model, clip=clip)
+        registry.build_estimator(estimator, model=model, clip=clip, rng=rng)
     )
 
 
@@ -186,6 +188,9 @@ def evaluate(
         ``overlap`` as ``None``.
     bootstrap_replicates:
         0 disables the bootstrap section.
+    rng:
+        Seed or generator for the bootstrap and for an estimator that
+        draws randomness (``replay-dr``).
     registry:
         Alternate :class:`Registry` (defaults to the module-level one).
 
@@ -197,7 +202,7 @@ def evaluate(
     registry = registry or default_registry
     policy = _resolve_policy(policy, registry)
     old_policy, propensity_model = _split_propensities(propensities, registry)
-    built = _resolve_estimator(estimator, model, clip, registry)
+    built = _resolve_estimator(estimator, model, clip, registry, rng)
     with span("api.evaluate", estimator=built.name):
         return _panel_report(
             trace,
@@ -267,7 +272,7 @@ def compare(
             panel[entry.name] = entry
             continue
         if isinstance(entry, (EstimatorConfig, Mapping)):
-            built_entry = resolve_estimator_config(entry, registry=registry)
+            built_entry = resolve_estimator_config(entry, registry=registry, rng=rng)
             panel[built_entry.name] = built_entry
             continue
         spec = registry.estimator_spec(entry)
@@ -276,6 +281,7 @@ def compare(
                 entry,
                 model=shared_model if spec.needs_model else None,
                 clip=clip if spec.supports_clip else None,
+                rng=rng,
             )
         )
     panel.update(extra_estimators or {})
@@ -318,10 +324,12 @@ def _panel_report(
     floor = {} if propensity_floor is None else {"propensity_floor": propensity_floor}
     estimates: Dict[str, EstimateResult] = {}
     failed: Dict[str, str] = {}
+    # Estimators without stream hooks (a fallback chain, replay-DR) run
+    # their own estimate(): the pass does not score them.
     with PanelPass(
         policy,
         trace,
-        panel.values(),
+        [built for built in panel.values() if streams(built)],
         old_policy=old_policy,
         propensity_model=propensity_model,
         propensity_floor=propensity_floor,

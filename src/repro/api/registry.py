@@ -64,6 +64,8 @@ class EstimatorSpec:
     factory: Callable[..., OffPolicyEstimator]
     needs_model: bool = False
     supports_clip: bool = False
+    #: Whether the factory draws randomness and takes the caller's ``rng=``.
+    takes_rng: bool = False
 
 
 class Registry:
@@ -88,6 +90,7 @@ class Registry:
         *,
         needs_model: bool = False,
         supports_clip: bool = False,
+        takes_rng: bool = False,
         replace: bool = False,
     ) -> None:
         """Register *factory* under *name* (``replace=True`` to override)."""
@@ -101,6 +104,7 @@ class Registry:
             factory=factory,
             needs_model=needs_model,
             supports_clip=supports_clip,
+            takes_rng=takes_rng,
         )
 
     def estimator_spec(self, name: str) -> EstimatorSpec:
@@ -122,13 +126,16 @@ class Registry:
         name: str,
         model: Optional[RewardModel] = None,
         clip: Optional[float] = None,
+        rng=None,
     ) -> OffPolicyEstimator:
         """Construct the estimator registered under *name*.
 
         Model-needing estimators get *model* when given and a fresh
         :class:`TabularMeanModel` otherwise; passing *model* or *clip* to
         an estimator that takes neither is an error (a silently ignored
-        option would misreport what was evaluated).
+        option would misreport what was evaluated).  *rng* seeds the
+        estimators that draw randomness (``replay-dr``); the others
+        ignore it.
         """
         spec = self.estimator_spec(name)
         options: Dict[str, object] = {}
@@ -144,6 +151,8 @@ class Registry:
                     f"estimator {name!r} does not support clip="
                 )
             options["clip"] = clip
+        if spec.takes_rng:
+            options["rng"] = rng
         return spec.factory(**options)
 
     def default_model(self) -> RewardModel:
@@ -264,7 +273,9 @@ def _populate(registry: Registry) -> Registry:
     registry.register_estimator(
         "switch-dr", SwitchDR, needs_model=True, supports_clip=True
     )
-    registry.register_estimator("replay-dr", ReplayDoublyRobust, needs_model=True)
+    registry.register_estimator(
+        "replay-dr", ReplayDoublyRobust, needs_model=True, takes_rng=True
+    )
     registry.register_model("tabular", TabularMeanModel)
     registry.register_model("knn", KNNRewardModel)
     registry.register_model("ridge", RidgeRewardModel)

@@ -382,19 +382,21 @@ def _adapt_estimator(built):
 def resolve_estimator_config(
     config: Union[OffPolicyEstimator, EstimatorConfig, Mapping[str, Any], str],
     registry: Optional[Registry] = None,
+    rng=None,
 ) -> OffPolicyEstimator:
     """Resolve an estimator config to a built estimator.
 
     Accepts a pre-built estimator (passed through), a registry name, an
     :class:`EstimatorConfig`, or its mapping form.  Config options other
     than ``clip``/``model`` are rejected by name — a silently dropped
-    option would misreport what was evaluated.
+    option would misreport what was evaluated.  *rng* seeds an estimator
+    that draws randomness (see :meth:`Registry.build_estimator`).
     """
     registry = registry if registry is not None else default_registry
     if isinstance(config, OffPolicyEstimator):
         return config
     if isinstance(config, str):
-        return _adapt_estimator(registry.build_estimator(config))
+        return _adapt_estimator(registry.build_estimator(config, rng=rng))
     if isinstance(config, Mapping):
         config = EstimatorConfig.from_dict(config)
     if not isinstance(config, EstimatorConfig):
@@ -417,5 +419,7 @@ def resolve_estimator_config(
     elif isinstance(model, EstimatorConfig):
         model = registry.build_model(model.name, **model.options)
     return _adapt_estimator(
-        registry.build_estimator(config.name, model=model, clip=options["clip"])
+        registry.build_estimator(
+            config.name, model=model, clip=options["clip"], rng=rng
+        )
     )

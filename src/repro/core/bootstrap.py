@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.estimators.base import OffPolicyEstimator
+from repro.core.estimators.base import OffPolicyEstimator, streams
 from repro.core.policy import Policy
 from repro.core.propensity import PropensityModel
 from repro.core.random import ensure_rng
@@ -53,8 +53,7 @@ def _resampled(
     ``draws(n)`` yields over the n records scored (a quarantined reader's
     survivors): ``(point estimate, values, resamples that raised)``."""
     inputs = {"old_policy": old_policy, "propensity_model": propensity_model}
-    hooked = getattr(type(estimator), "_stream_finalize", None)
-    if hooked in (None, OffPolicyEstimator._stream_finalize):
+    if not streams(estimator):
         # No stream hooks (fallback chain, replay-DR, state-aware DR): re-estimate.
         point, n = estimator.estimate(new_policy, trace, **inputs).value, len(trace)
 

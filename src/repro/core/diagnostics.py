@@ -98,10 +98,10 @@ def overlap_columns(
             source.propensity(record, cursor + index)
         raise
     new = new_policy.propensity_batch(columns.decisions, columns.contexts)
-    greedy = new_policy.greedy_decision_batch(columns.contexts)
     decisions, codes = columns.decisions, columns.decision_codes
     pairs, firsts = kernels.first_seen_codes(columns.context_codes, codes)
-    hits = [decisions[first] == greedy[first] for first in firsts.tolist()]
+    greedy = new_policy.greedy_decision_batch(columns.contexts, firsts)
+    hits = [decisions[first] == best for first, best in zip(firsts.tolist(), greedy)]
     matches = int(np.bincount(pairs) @ np.asarray(hits, dtype=np.intp))
     seen, firsts = kernels.first_seen_codes(codes)
     coverage: Counter = Counter()

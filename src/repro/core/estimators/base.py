@@ -157,19 +157,43 @@ class OffPolicyEstimator(abc.ABC):
     def _stream_setup(self, new_policy: Policy, trace) -> None:
         """Once-per-estimate hook run before any chunk is scored.
 
-        This is where reward models fit (*trace* may be a lazy
-        ``ShardedTrace`` — fitting iterates it in bounded memory — and
-        has not been validated yet).  The default does nothing, which
-        suits the model-free estimators.
+        *trace* may be a lazy ``ShardedTrace`` and has not been
+        validated yet.  Reward models do not fit here: the engine fits
+        an in-sample model from its own read (:meth:`_in_sample_model`).
+        The default does nothing.
         """
 
-    def _checked_chunk(self, new_policy, chunk, propensities, offset: int):
+    def _in_sample_model(self):
+        """The reward model the engine must fit on the evaluated trace
+        before :meth:`_model_columns` can run, or ``None`` (no model, or
+        one fitted before the pass).  Asked after :meth:`_stream_setup`."""
+        return None
+
+    def _checked_chunk(
+        self, new_policy, chunk, propensities, offset: int, checked=False, model=True
+    ):
         """How the engine scores a chunk: its trace contracts (record
-        indices made absolute by *offset*), then :meth:`_stream_chunk`."""
-        check_trace_columns(
-            chunk.columns(), where=f"{self.name} input trace", offset=offset
-        )
-        return self._stream_chunk(new_policy, chunk, propensities, offset)
+        indices made absolute by *offset*) unless the caller *checked*
+        them already, then :meth:`_stream_chunk` and, with *model*,
+        :meth:`_model_columns`."""
+        if not checked:
+            check_trace_columns(
+                chunk.columns(), where=f"{self.name} input trace", offset=offset
+            )
+        columns = self._stream_chunk(new_policy, chunk, propensities, offset)
+        if model:
+            columns.update(self._model_columns(new_policy, chunk, offset, columns))
+        return columns
+
+    def _model_columns(
+        self, new_policy: Policy, chunk, offset: int, columns: Dict[str, np.ndarray]
+    ) -> Dict[str, np.ndarray]:
+        """The per-record columns that read the reward model, for *chunk*
+        at absolute *offset*, given its model-free *columns*.  The engine
+        runs it per chunk when the model was fitted before the pass, else
+        once over the whole pass after fitting it in-sample.  The default
+        (a model-free estimator) has none."""
+        return {}
 
     def _stream_chunk(
         self,
@@ -205,6 +229,52 @@ class OffPolicyEstimator(abc.ABC):
             f"{self.name} does not support streaming evaluation; "
             "materialise the trace first (ShardedTrace.materialize())"
         )
+
+
+class RewardModelEstimator(OffPolicyEstimator):
+    """An estimator that reads a reward model r̂ (DM, DR, SWITCH-DR).
+
+    An unfitted model is fit on the evaluated trace when
+    ``fit_on_trace`` allows it: the engine gathers the model-free
+    columns per chunk, fits the model once on the whole pass and then
+    runs :meth:`_model_columns` over it.  A model fitted before the pass
+    is asked per chunk.
+    """
+
+    #: How the unfitted-model error names the model.
+    _model_label = "model"
+
+    def __init__(self, model, fit_on_trace: bool = True):
+        self._model = model
+        self._fit_on_trace = fit_on_trace
+
+    @property
+    def model(self):
+        """The reward model used by this estimator."""
+        return self._model
+
+    def _stream_setup(self, new_policy: Policy, trace) -> None:
+        if not self._model.fitted and not self._fit_on_trace:
+            raise EstimatorError(
+                f"{self._model_label} is not fitted and fit_on_trace is disabled"
+            )
+
+    def _in_sample_model(self):
+        return None if self._model.fitted else self._model
+
+    def _stream_chunk(self, new_policy, chunk, propensities, offset: int) -> dict:
+        return {}
+
+    @abc.abstractmethod
+    def _model_columns(self, new_policy, chunk, offset: int, columns) -> dict:
+        """The model-reading columns (see the base method)."""
+
+
+def streams(estimator) -> bool:
+    """Whether *estimator* runs on the stream hooks (a fallback chain,
+    replay-DR or a state-aware DR implements ``estimate`` instead)."""
+    hook = getattr(type(estimator), "_stream_finalize", None)
+    return hook not in (None, OffPolicyEstimator._stream_finalize)
 
 
 def observe_estimate_metrics(result: EstimateResult) -> None:
@@ -270,14 +340,19 @@ def expected_model_rewards(
     columns = trace.columns()
     contexts = columns.contexts
     matrix = new_policy.probability_matrix(contexts)
-    terms = np.zeros(len(contexts), dtype=float)
+    if fold_offset is None:
+        # A record's term is a function of its context's matrix row and
+        # predictions: computed once per distinct context, then gathered.
+        codes, firsts = columns.distinct_contexts()
+        matrix = matrix[firsts]
+    terms = np.zeros(len(matrix), dtype=float)
     for column, decision in enumerate(new_policy.space.decisions):
         probabilities = matrix[:, column]
         mask = probabilities > 0.0
         if not mask.any():
             continue
         every = bool(mask.all())
-        positions = np.arange(len(contexts)) if every else np.flatnonzero(mask)
+        positions = np.arange(len(matrix)) if every else np.flatnonzero(mask)
         if fold_offset is not None:
             predictions = model.predict_batch_for_indices(
                 positions + fold_offset,
@@ -286,14 +361,14 @@ def expected_model_rewards(
             )
         else:
             predictions = model.predict_trace_for_decision(
-                columns, decision, positions=None if every else positions
+                columns, decision, positions=firsts[positions]
             )
         predictions = np.asarray(predictions, dtype=float)
         if every:
             terms = terms + probabilities * predictions
         else:
             terms[positions] = terms[positions] + probabilities[positions] * predictions
-    return terms
+    return terms if fold_offset is not None else terms[codes]
 
 
 def weight_diagnostics(weights: np.ndarray) -> Dict[str, float]:

@@ -11,22 +11,16 @@ evaluator are both DM instances (§3, "Why DR for networking").
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.estimators.base import (
     EstimateResult,
-    OffPolicyEstimator,
+    RewardModelEstimator,
     expected_model_rewards,
     result_from_contributions,
 )
-from repro.core.models.base import RewardModel
 from repro.core.policy import Policy
-from repro.core.propensity import PropensitySource
-from repro.core.types import Trace
-from repro.errors import EstimatorError
 
 
-class DirectMethod(OffPolicyEstimator):
+class DirectMethod(RewardModelEstimator):
     """DM over a reward model.
 
     Parameters
@@ -44,36 +38,14 @@ class DirectMethod(OffPolicyEstimator):
 
     failure_modes = ("unfitted-model", "model-fit-failure")
 
-    def __init__(self, model: RewardModel, fit_on_trace: bool = True):
-        self._model = model
-        self._fit_on_trace = fit_on_trace
+    _model_label = "DM model"
 
     @property
     def name(self) -> str:
         return "dm"
 
-    @property
-    def model(self) -> RewardModel:
-        """The reward model used by this estimator."""
-        return self._model
-
-    def _stream_setup(self, new_policy: Policy, trace) -> None:
-        if not self._model.fitted:
-            if not self._fit_on_trace:
-                raise EstimatorError(
-                    "DM model is not fitted and fit_on_trace is disabled"
-                )
-            self._model.fit(trace)
-
-    def _stream_chunk(
-        self,
-        new_policy: Policy,
-        chunk: Trace,
-        propensities: Optional[PropensitySource],
-        offset: int,
-    ) -> dict:
-        contributions = expected_model_rewards(new_policy, chunk, self._model)
-        return {"contributions": contributions}
+    def _model_columns(self, new_policy: Policy, chunk, offset: int, columns) -> dict:
+        return {"contributions": expected_model_rewards(new_policy, chunk, self._model)}
 
     def _stream_finalize(self, columns: dict, n: int) -> EstimateResult:
         return result_from_contributions(self.name, columns["contributions"])

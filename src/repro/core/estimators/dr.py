@@ -26,7 +26,7 @@ from repro import kernels
 from repro.core.contracts import check_weights
 from repro.core.estimators.base import (
     EstimateResult,
-    OffPolicyEstimator,
+    RewardModelEstimator,
     expected_model_rewards,
     result_from_contributions,
     weight_diagnostics,
@@ -39,7 +39,7 @@ from repro.core.types import Trace
 from repro.errors import EstimatorError
 
 
-class DoublyRobust(OffPolicyEstimator):
+class DoublyRobust(RewardModelEstimator):
     """DR per paper Eq. 1/2.
 
     Parameters
@@ -61,6 +61,8 @@ class DoublyRobust(OffPolicyEstimator):
         "model-fit-failure",
     )
 
+    _model_label = "DR reward model"
+
     def __init__(
         self,
         model: RewardModel,
@@ -69,8 +71,7 @@ class DoublyRobust(OffPolicyEstimator):
     ):
         if clip is not None and clip <= 0:
             raise EstimatorError(f"clip must be positive, got {clip}")
-        self._model = model
-        self._fit_on_trace = fit_on_trace
+        super().__init__(model, fit_on_trace)
         self._clip = clip
 
     @property
@@ -78,22 +79,9 @@ class DoublyRobust(OffPolicyEstimator):
         return "dr"
 
     @property
-    def model(self) -> RewardModel:
-        """The reward model used for the DM half."""
-        return self._model
-
-    @property
     def clip(self) -> Optional[float]:
         """The correction-term weight clip (``None`` = unclipped)."""
         return self._clip
-
-    def _stream_setup(self, new_policy: Policy, trace) -> None:
-        if not self._model.fitted:
-            if not self._fit_on_trace:
-                raise EstimatorError(
-                    "DR reward model is not fitted and fit_on_trace is disabled"
-                )
-            self._model.fit(trace)
 
     def _stream_chunk(
         self,
@@ -102,6 +90,15 @@ class DoublyRobust(OffPolicyEstimator):
         propensities: Optional[PropensitySource],
         offset: int,
     ) -> dict:
+        columns = chunk.columns()
+        old = propensities.propensity_batch(chunk)
+        new = new_policy.propensity_batch(columns.decisions, columns.contexts)
+        weights = kernels.importance_ratio(new, old)
+        if self._clip is not None:
+            weights = kernels.clip_weights(weights, self._clip)
+        return {"weights": check_weights(weights, where=self.name).values}
+
+    def _model_columns(self, new_policy: Policy, chunk, offset: int, columns) -> dict:
         columns = chunk.columns()
         model = self._model
         if isinstance(model, CrossFitModel):
@@ -113,16 +110,7 @@ class DoublyRobust(OffPolicyEstimator):
         else:
             dm_terms = expected_model_rewards(new_policy, chunk, model)
             predictions = model.predict_trace(columns)
-        old = propensities.propensity_batch(chunk)
-        new = new_policy.propensity_batch(columns.decisions, columns.contexts)
-        weights = kernels.importance_ratio(new, old)
-        if self._clip is not None:
-            weights = kernels.clip_weights(weights, self._clip)
-        return {
-            "dm_terms": dm_terms,
-            "weights": check_weights(weights, where=self.name).values,
-            "residuals": columns.rewards - predictions,
-        }
+        return {"dm_terms": dm_terms, "residuals": columns.rewards - predictions}
 
     def _stream_finalize(self, columns: dict, n: int) -> EstimateResult:
         dm_terms = columns["dm_terms"]

@@ -18,7 +18,7 @@ from repro import kernels
 from repro.core.contracts import check_weights
 from repro.core.estimators.base import (
     EstimateResult,
-    OffPolicyEstimator,
+    RewardModelEstimator,
     expected_model_rewards,
     result_from_contributions,
     weight_diagnostics,
@@ -30,7 +30,7 @@ from repro.core.types import Trace
 from repro.errors import EstimatorError
 
 
-class SwitchDR(OffPolicyEstimator):
+class SwitchDR(RewardModelEstimator):
     """DR with per-record switching to DM above a weight threshold.
 
     Parameters
@@ -50,6 +50,8 @@ class SwitchDR(OffPolicyEstimator):
         "model-fit-failure",
     )
 
+    _model_label = "SWITCH-DR model"
+
     def __init__(
         self,
         model: RewardModel,
@@ -60,9 +62,8 @@ class SwitchDR(OffPolicyEstimator):
             clip = 10.0
         if clip < 0:
             raise EstimatorError(f"clip must be non-negative, got {clip}")
-        self._model = model
+        super().__init__(model, fit_on_trace)
         self._clip = float(clip)
-        self._fit_on_trace = fit_on_trace
 
     @property
     def name(self) -> str:
@@ -73,14 +74,6 @@ class SwitchDR(OffPolicyEstimator):
         """The switching threshold."""
         return self._clip
 
-    def _stream_setup(self, new_policy: Policy, trace) -> None:
-        if not self._model.fitted:
-            if not self._fit_on_trace:
-                raise EstimatorError(
-                    "SWITCH-DR model is not fitted and fit_on_trace is disabled"
-                )
-            self._model.fit(trace)
-
     def _stream_chunk(
         self,
         new_policy: Policy,
@@ -89,20 +82,24 @@ class SwitchDR(OffPolicyEstimator):
         offset: int,
     ) -> dict:
         columns = chunk.columns()
-        contributions = expected_model_rewards(new_policy, chunk, self._model)
         old = propensities.propensity_batch(chunk)
         new = new_policy.propensity_batch(columns.decisions, columns.contexts)
-        weights = kernels.importance_ratio(new, old)
+        return {"weights": kernels.importance_ratio(new, old)}
+
+    def _model_columns(self, new_policy: Policy, chunk, offset: int, columns) -> dict:
+        weights = columns["weights"]
+        columns = chunk.columns()
+        contributions = expected_model_rewards(new_policy, chunk, self._model)
         # Residual predictions are only requested for non-switched records,
         # matching the scalar path (a model that cannot score a switched
         # record's logged decision must not be asked to).  The switch is
-        # per-record, so it belongs in the chunk hook.
+        # per-record, so it belongs in the per-record columns.
         kept = np.flatnonzero(~(weights > self._clip))
         if kept.size:
             predictions = self._model.predict_trace(columns, positions=kept)
             residuals = columns.rewards[kept] - predictions
             contributions[kept] = contributions[kept] + weights[kept] * residuals
-        return {"contributions": contributions, "weights": weights}
+        return {"contributions": contributions}
 
     def _stream_finalize(self, columns: dict, n: int) -> EstimateResult:
         weights = columns["weights"]

@@ -7,9 +7,16 @@ that matters — and a concrete example of *model misspecification* (§2.2.1)
 when they do not (omitting the NAT flag in the VIA scenario turns this
 model into the biased VIA evaluator).
 
-Fit and prediction both run columnar: fitting accumulates bucket sums
-through the in-order :func:`repro.kernels.bucket_accumulate` (bit-identical
-to the historical per-record ``+=`` loop), and the ``predict_trace*``
+Fit and prediction both run columnar: fitting reads ``trace.columns()``
+once and accumulates bucket sums through the in-order
+:func:`repro.kernels.bucket_accumulate` (bit-identical to the historical
+per-record ``+=`` loop).  An estimator fitting it on a chunked trace
+does not hand it the chunks: the streaming pass fits it once, after its
+one read, on a column-born trace of the pass's interned context and
+decision codes and rewards (see :mod:`repro.store.streaming`), whose
+pairs and rewards come in record order as they would from the trace.
+A :class:`~repro.store.ShardedTrace` passed to :meth:`fit` directly is
+gathered whole by its ``columns()``.  The ``predict_trace*``
 fast paths encode each :class:`~repro.core.types.TraceColumns` view's
 records into bucket codes once (memoised on the columns object) so the
 per-decision DM sweep and the DR residual pass become pure array gathers.
@@ -33,83 +40,6 @@ from repro.errors import ModelError
 #: per-columns consumer caches keyed on it can never serve encodings
 #: from an earlier fit of the same (or a garbage-collected) model.
 _FIT_TOKENS = itertools.count()
-
-
-class _FitAccumulator:
-    """Running bucket/decision/global sums over a record stream.
-
-    Arrays grow as new buckets appear; accumulation order is record
-    order chunk after chunk, so every bucket cell sees the exact
-    addition sequence of the scalar ``sums[key] += reward`` loop this
-    replaces.
-    """
-
-    def __init__(self) -> None:
-        self.bucket_positions: Dict[Tuple[Tuple[Hashable, ...], Decision], int] = {}
-        self.decision_positions: Dict[Decision, int] = {}
-        self.bucket_sums = np.zeros(0, dtype=float)
-        self.bucket_counts = np.zeros(0, dtype=float)
-        self.decision_sums = np.zeros(0, dtype=float)
-        self.decision_counts = np.zeros(0, dtype=float)
-        self.total = np.zeros(1, dtype=float)
-        self.total_count = np.zeros(1, dtype=float)
-        self.records = 0
-
-    @staticmethod
-    def _grown(array: np.ndarray, size: int) -> np.ndarray:
-        if array.shape[0] >= size:
-            return array
-        grown = np.zeros(max(size, 2 * array.shape[0]), dtype=float)
-        grown[: array.shape[0]] = array
-        return grown
-
-    def add_columns(self, columns: TraceColumns, keys: Tuple[str, ...]) -> None:
-        """Fold one columns view into the running sums, in record order;
-        buckets resolve once per distinct (context, decision) pair, in
-        first-seen order, so they number as a per-record pass would."""
-        n = len(columns)
-        if n == 0:
-            return
-        pairs, firsts = kernels.first_seen_codes(
-            columns.context_codes, columns.decision_codes
-        )
-        pair_buckets = np.empty(firsts.size, dtype=np.intp)
-        pair_decisions = np.empty(firsts.size, dtype=np.intp)
-        bucket_positions = self.bucket_positions
-        decision_positions = self.decision_positions
-        contexts, decisions = columns.contexts, columns.decisions
-        for pair, first in enumerate(firsts.tolist()):
-            decision = decisions[first]
-            key = (contexts[first].values_for(keys), decision)
-            bucket = bucket_positions.get(key)
-            if bucket is None:
-                bucket = len(bucket_positions)
-                bucket_positions[key] = bucket
-            pair_buckets[pair] = bucket
-            code = decision_positions.get(decision)
-            if code is None:
-                code = len(decision_positions)
-                decision_positions[decision] = code
-            pair_decisions[pair] = code
-        bucket_ids = pair_buckets[pairs]
-        decision_ids = pair_decisions[pairs]
-        self.bucket_sums = self._grown(self.bucket_sums, len(bucket_positions))
-        self.bucket_counts = self._grown(self.bucket_counts, len(bucket_positions))
-        self.decision_sums = self._grown(self.decision_sums, len(decision_positions))
-        self.decision_counts = self._grown(
-            self.decision_counts, len(decision_positions)
-        )
-        rewards = columns.rewards
-        kernels.bucket_accumulate(self.bucket_sums, self.bucket_counts, bucket_ids, rewards)
-        kernels.bucket_accumulate(
-            self.decision_sums, self.decision_counts, decision_ids, rewards
-        )
-        # The global mean is a single left-fold over all rewards in trace
-        # order; a one-cell bucket accumulation reproduces it exactly.
-        kernels.bucket_accumulate(
-            self.total, self.total_count, np.zeros(n, dtype=np.intp), rewards
-        )
-        self.records += n
 
 
 class TabularMeanModel(RewardModel):
@@ -160,34 +90,40 @@ class TabularMeanModel(RewardModel):
         return self._keys
 
     def _fit(self, trace: Trace) -> None:
+        """One read of ``trace.columns()``: buckets resolve once per
+        distinct (context, decision) pair, numbered first seen first, and
+        every bucket, decision and global sum adds its rewards in record
+        order (the scalar ``sums[key] += reward`` loop's sequence)."""
         self._keys = (
             self._requested_keys
             if self._requested_keys is not None
             else trace.feature_names()
         )
-        accumulator = _FitAccumulator()
-        if isinstance(trace, Trace):
-            accumulator.add_columns(trace.columns(), self._keys)
-        elif hasattr(trace, "iter_chunks"):
-            for chunk in trace.iter_chunks():
-                accumulator.add_columns(chunk.columns(), self._keys)
-        else:  # plain record iterable: one throwaway columns view
-            accumulator.add_columns(
-                TraceColumns.from_records(list(trace)), self._keys
-            )
-        sums = accumulator.bucket_sums
-        counts = accumulator.bucket_counts
-        self._bucket_means = {
-            key: float(sums[position] / counts[position])
-            for key, position in accumulator.bucket_positions.items()
-        }
-        sums = accumulator.decision_sums
-        counts = accumulator.decision_counts
-        self._decision_means = {
-            decision: float(sums[position] / counts[position])
-            for decision, position in accumulator.decision_positions.items()
-        }
-        self._global_mean = float(accumulator.total[0] / accumulator.records)
+        columns = trace.columns()
+        pairs, firsts = kernels.first_seen_codes(
+            columns.context_codes, columns.decision_codes
+        )
+        buckets: Dict[Tuple[Tuple[Hashable, ...], Decision], int] = {}
+        decisions: Dict[Decision, int] = {}
+        pair_buckets = np.empty(firsts.size, dtype=np.intp)
+        pair_decisions = np.empty(firsts.size, dtype=np.intp)
+        for pair, first in enumerate(firsts.tolist()):
+            decision = columns.decisions[first]
+            key = (columns.contexts[first].values_for(self._keys), decision)
+            pair_buckets[pair] = buckets.setdefault(key, len(buckets))
+            pair_decisions[pair] = decisions.setdefault(decision, len(decisions))
+        rewards = columns.rewards
+
+        def means(positions, ids):
+            sums, counts = np.zeros(len(positions)), np.zeros(len(positions))
+            kernels.bucket_accumulate(sums, counts, ids, rewards)
+            return {key: float(sums[p] / counts[p]) for key, p in positions.items()}
+
+        self._bucket_means = means(buckets, pair_buckets[pairs])
+        self._decision_means = means(decisions, pair_decisions[pairs])
+        # The global mean is one left fold over all rewards in record order.
+        every = np.zeros(len(columns), dtype=np.intp)
+        self._global_mean = means({None: 0}, every)[None]
         self._build_dense_tables()
 
     def _build_dense_tables(self) -> None:
@@ -227,7 +163,7 @@ class TabularMeanModel(RewardModel):
 
     def _encode_keys(self, columns: TraceColumns) -> np.ndarray:
         """Look each distinct context's key up once, then gather."""
-        codes, firsts = kernels.first_seen_codes(columns.context_codes)
+        codes, firsts = columns.distinct_contexts()
         contexts, keys, get = columns.contexts, self._keys, self._key_index.get
         rows = np.fromiter(
             (get(contexts[first].values_for(keys), -1) for first in firsts.tolist()),
@@ -294,12 +230,12 @@ class TabularMeanModel(RewardModel):
     ) -> np.ndarray:
         self._require_fitted()
         key_codes = self._key_codes(columns)
+        if positions is not None:
+            key_codes = key_codes[positions]
         code = self._decision_index.get(decision, -1)
-        # Full-length so _gathered can subset it by absolute positions,
-        # exactly like the per-record logged-decision array.
-        decision_codes = np.full(len(columns), code, dtype=np.intp)
+        decision_codes = np.full(len(key_codes), code, dtype=np.intp)
         hit, values, decision_codes, _ = self._gathered(
-            key_codes, decision_codes, positions
+            key_codes, decision_codes, None
         )
         if hit.all():
             return values

@@ -121,9 +121,10 @@ class Policy(abc.ABC):
         return matrix
 
     def greedy_decision_batch(
-        self, contexts: Sequence[ClientContext]
+        self, contexts: Sequence[ClientContext], positions=None
     ) -> List[Decision]:
-        """:meth:`greedy_decision` for every context.
+        """:meth:`greedy_decision` for every context, or with *positions*
+        for those contexts only, in that order.
 
         Implemented as a column scan over :meth:`probability_matrix` that
         replays the scalar scan exactly (same comparisons, same tolerance,
@@ -131,7 +132,9 @@ class Policy(abc.ABC):
         whenever the matrix is.
         """
         matrix = self.probability_matrix(contexts)
-        count = len(contexts)
+        if positions is not None:
+            matrix = matrix[positions]
+        count = matrix.shape[0]
         best = np.full(count, -1.0)
         choice = np.zeros(count, dtype=np.intp)
         for column in range(matrix.shape[1]):

@@ -393,6 +393,15 @@ class TraceColumns:
             )
         return self._context_codes
 
+    def distinct_contexts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``kernels.first_seen_codes(self.context_codes)``: each record's
+        distinct-context code and each code's first record, computed once
+        per columns object."""
+        return self.consumer_cache(
+            "repro.types.distinct_contexts",
+            lambda: kernels.first_seen_codes(self.context_codes),
+        )
+
     def consumer_cache(self, token: Hashable, build: Callable[[], Any]) -> Any:
         """Per-columns memo keyed by an opaque consumer *token*.
 

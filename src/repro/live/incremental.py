@@ -26,8 +26,8 @@ Scope of the guarantee: it requires ``_stream_setup`` to be independent
 of the stream (true for the model-free IPS family, and for DM/DR/SNDR
 with a **pre-fitted** reward model).  A model-fitting estimator in live
 mode would otherwise fit on whatever prefix existed at setup time;
-:class:`IncrementalEstimator` refuses that ambiguity by requiring
-``fit_on_trace=False`` semantics — pass a fitted model.
+:class:`IncrementalEstimator` refuses an unfitted model on the first
+chunk — pass a fitted model.
 """
 
 from __future__ import annotations
@@ -129,6 +129,11 @@ class IncrementalEstimator:
                     floor=self._propensity_floor,
                 )
             estimator._stream_setup(self._policy, chunk)
+            if estimator._in_sample_model() is not None:
+                raise EstimatorError(
+                    f"{estimator.name} needs a pre-fitted reward model to run "
+                    "live: an unbounded stream has no whole trace to fit on"
+                )
         self._gather.add(self._policy, chunk, self._source)
         self._chunks += 1
         return self.n

@@ -30,21 +30,32 @@ pinned guarantee of ``tests/store/test_stream_equivalence.py``.
 One pass per panel: a :class:`PanelPass` reads each chunk once for a
 panel of estimators plus the overlap diagnostics' columns.  Sharing
 keeps bit-identity because the shared work is the same work, done
-once: members sharing a reward model fit it once (the first setup
-fits, the rest find it fitted), and within a chunk every member asks
-the new policy and the propensity source the same batch questions
-about the same column objects, answered on the first ask.
+once: within a chunk every member asks the new policy and the
+propensity source the same batch questions about the same column
+objects, answered on the first ask.
+
+One read also fits the reward model.  A member whose model is fitted
+before the pass scores its model columns (``_model_columns``) per
+chunk.  A member that fits its model on the evaluated trace gathers
+only its model-free columns per chunk; a chunked pass then also writes
+each record's pass-global context and decision codes and its reward
+(24 bytes per record) and interns each chunk's distinct contexts, with
+the new policy's rows for them, and decisions.  After the last chunk
+the model is fit once on a column-born trace of those codes and
+rewards (an in-memory trace is its own), and the model columns are
+filled over the whole pass: one policy answer per distinct context, one
+model ask per distinct (context, decision) pair.
 
 Memory: the gathered columns cost a few float64 arrays of length n
 (~80 MB per column at 10M records) — the savings over an in-memory
 trace come from never holding the 10M Python record/context objects,
 which dominate real-trace memory by an order of magnitude.
 
-Contracts run per chunk, vectorized over the chunk's columns
+Contracts run once per chunk, vectorized over the chunk's columns
 (:func:`~repro.core.contracts.check_trace_columns`, same errors with
-absolute record indices); the propensity source is resolved once, up
-front, against the sharded trace's manifest-backed
-``has_propensities()``.
+absolute record indices, named after the first live member); the
+propensity source is resolved once, up front, against the sharded
+trace's manifest-backed ``has_propensities()``.
 """
 
 from __future__ import annotations
@@ -60,7 +71,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro import kernels
-from repro.core.contracts import reconcile_shortfall
+from repro.core.contracts import check_trace_columns, reconcile_shortfall
 from repro.core.diagnostics import overlap_columns
 from repro.core.estimators.base import EstimateResult, OffPolicyEstimator
 from repro.core.policy import Policy
@@ -70,7 +81,7 @@ from repro.core.propensity import (
     PropensitySource,
     resolve_propensity_source,
 )
-from repro.core.types import TraceColumns
+from repro.core.types import Trace, TraceColumns
 from repro.errors import EstimatorError, StoreError
 from repro.obs.spans import increment, observe, span
 from repro.runtime.pool import _block_partition, _effective_workers, _fork_available
@@ -147,29 +158,28 @@ class ColumnGather:
         chunk,
         source: Optional[PropensitySource],
         cursor: Optional[int] = None,
+        checked: bool = False,
+        model: bool = True,
     ) -> int:
         """Validate, score and place *chunk* at *cursor* (default: the end).
 
+        *checked* says the caller ran the chunk's contracts already;
+        without *model* only the model-free columns are scored (the pass
+        places the model columns once it has fit the model in-sample).
         Returns the chunk's record count.
         """
         estimator = self._estimator
         if cursor is None:
             cursor = self.length
         size = len(chunk)
-        columns = estimator._checked_chunk(policy, chunk, source, cursor)
-        if not columns:
+        columns = estimator._checked_chunk(
+            policy, chunk, source, cursor, checked, model
+        )
+        if not columns and model:
             raise EstimatorError(
                 f"{estimator.name}._stream_chunk returned no columns"
             )
-        arrays: Dict[str, np.ndarray] = {}
-        for key, value in columns.items():
-            array = np.asarray(value)
-            if array.shape != (size,):
-                raise EstimatorError(
-                    f"{estimator.name}._stream_chunk column {key!r} has "
-                    f"shape {array.shape}, expected ({size},)"
-                )
-            arrays[key] = array
+        arrays = self._arrays(columns, size, "_stream_chunk")
         if self.buffers and set(arrays) != set(self.buffers):
             raise EstimatorError(
                 f"{estimator.name}._stream_chunk changed its column set "
@@ -181,6 +191,25 @@ class ColumnGather:
             self.buffers[key][cursor:end] = array
         self.length = max(self.length, end)
         return size
+
+    def place(self, columns: Dict[str, np.ndarray], length: int) -> None:
+        """Add *columns* of the first *length* records at once: the model
+        columns a pass scores after fitting the model in-sample."""
+        arrays = self._arrays(columns, length, "_model_columns")
+        self.buffers.update(arrays)
+        self.length = max(self.length, length)
+
+    def _arrays(self, columns, size: int, hook: str) -> Dict[str, np.ndarray]:
+        arrays: Dict[str, np.ndarray] = {}
+        for key, value in columns.items():
+            array = np.asarray(value)
+            if array.shape != (size,):
+                raise EstimatorError(
+                    f"{self._estimator.name}.{hook} column {key!r} has "
+                    f"shape {array.shape}, expected ({size},)"
+                )
+            arrays[key] = array
+        return arrays
 
     def finalize(self, length: int) -> EstimateResult:
         """Run ``_stream_finalize`` once over the first *length* records.
@@ -284,11 +313,11 @@ class _ChunkPolicy(Policy):
             self._policy.probability_matrix, [columns.context_codes], [contexts]
         )
 
-    def greedy_decision_batch(self, contexts):
+    def greedy_decision_batch(self, contexts, positions=None):
         if type(self._policy).greedy_decision_batch is not Policy.greedy_decision_batch:
-            return self._policy.greedy_decision_batch(contexts)
+            return self._policy.greedy_decision_batch(contexts, positions)
         # The inherited scan over the shared matrix is the policy's own.
-        return super().greedy_decision_batch(contexts)
+        return super().greedy_decision_batch(contexts, positions)
 
 
 class _ChunkSource(PropensitySource):
@@ -308,6 +337,21 @@ class _ChunkSource(PropensitySource):
         return _shared(self._answers, self._source.propensity_batch, trace)
 
 
+class _PassRows(Policy):
+    """The new policy's matrix rows for a pass's distinct contexts, as
+    its chunks asked them: what the in-sample model columns read."""
+
+    def __init__(self, policy: Policy, index: Dict, rows: np.ndarray):
+        super().__init__(policy.space)
+        self._policy, self._index, self._rows = policy, index, rows
+
+    def probabilities(self, context):
+        return self._policy.probabilities(context)
+
+    def probability_matrix(self, contexts):
+        return self._rows[[self._index[context] for context in contexts]]
+
+
 #: The pass the innermost ``with PanelPass(...)`` opened, if any.
 _ACTIVE: ContextVar[Optional["PanelPass"]] = ContextVar("panel_pass", default=None)
 
@@ -318,12 +362,14 @@ _OVERLAP = "overlap"
 @dataclass
 class _Tally:
     """What scoring a run of chunks found: the sizes of the chunks
-    scored, each key's first failure, and the overlap counts."""
+    scored, each key's first failure, the overlap counts, and each
+    interned chunk's ``(cursor, end, contexts, decisions, rows)``."""
 
     sizes: List[int] = field(default_factory=list)
     failures: Dict[object, EstimatorError] = field(default_factory=dict)
     matches: int = 0
     coverage: Counter = field(default_factory=Counter)
+    vocabularies: List[Tuple] = field(default_factory=list)
 
     def merge(self, later: "_Tally") -> None:
         for key, failure in later.failures.items():
@@ -335,10 +381,10 @@ class _Tally:
             increment("ope.stream.chunks")
 
 
-# Context of the parallel stream's blocks, inherited over fork (estimators
-# carry fitted models a pipe could not cheaply pickle, and the gathers
-# carry the shared buffers): (pass, store, plan, cursors).
-_STREAM_CONTEXT: Optional[Tuple] = None
+# The pass whose parallel stream is running, inherited over fork
+# (estimators carry fitted models a pipe could not cheaply pickle, and
+# the gathers carry the shared buffers).
+_STREAM_CONTEXT: Optional["PanelPass"] = None
 
 
 def _stream_block(positions: List[int]) -> bytes:
@@ -349,13 +395,36 @@ def _stream_block(positions: List[int]) -> bytes:
     pickled here, so the pool counts a child's bytes without pickling
     them again.
     """
-    from repro.store.sharded import ShardChunk
-
-    panel, store, plan, cursors = _STREAM_CONTEXT
     tally = _Tally()
-    for position in positions:
-        panel._score(ShardChunk(store, *plan[position]), cursors[position], tally)
+    _STREAM_CONTEXT._score_block(positions, tally)
     return pickle.dumps(tally)
+
+
+def _recode(codes: np.ndarray, index: Dict, values: List) -> np.ndarray:
+    """Rewrite a chunk's first-seen *codes* of *values* in place as
+    *index*'s pass-global codes, numbering new values in order; returns
+    the chunk-to-pass translation."""
+    table = np.asarray(
+        [index.setdefault(value, len(index)) for value in values], dtype=np.intp
+    )
+    codes[:] = table[codes]
+    return table
+
+
+def _shard_aligned(blocks: List[List[int]], plan: List) -> List[List[int]]:
+    """*blocks* of planned chunk positions with each boundary moved to
+    the nearest chunk that starts a shard, where one lies strictly
+    between its neighbours: a shard is then decoded by one process."""
+    first, last = blocks[0][0], blocks[-1][-1]
+    starts = [p for p in range(first + 1, last + 1) if plan[p][0] != plan[p - 1][0]]
+    edges, previous = [], first
+    for index, block in enumerate(blocks[1:]):
+        upper = blocks[index + 2][0] if index + 2 < len(blocks) else last + 1
+        near = [start for start in starts if previous < start < upper]
+        previous = min(near, key=lambda s: abs(s - block[0])) if near else block[0]
+        edges.append(previous)
+    bounds = [first, *edges, last + 1]
+    return [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _forks(trace, workers: int) -> bool:
@@ -377,7 +446,8 @@ def _forks(trace, workers: int) -> bool:
 
 
 class PanelPass:
-    """One read and one fit for a panel of estimators, forked at most once.
+    """One read, and one in-sample fit, for a panel of estimators, forked
+    at most once.
 
     Inside ``with PanelPass(...):`` the pass (see :meth:`covering`)
     answers every :func:`stream_estimate` call and every bootstrap or
@@ -499,10 +569,31 @@ class PanelPass:
         return [key for key in self._keys if key not in stopped]
 
     def _score(self, chunk, cursor: int, step: _Tally) -> None:
-        """Score *chunk* for every live key, noting failures in *step*."""
+        """Score *chunk* for every live key, noting failures in *step*.
+
+        The chunk's contracts run once, in the name of the first live
+        member, whose own check would have raised first.  Members whose
+        model is fit in-sample get their model-free columns only, and
+        the chunk's distinct contexts and decisions are interned.
+        """
         chunk_columns = chunk.columns()
         policy = _ChunkPolicy(self.policy, chunk_columns)
         source = self._source and _ChunkSource(self._source, chunk_columns)
+        live = self._live(step)
+        members = [key for key in live if key != _OVERLAP]
+        if members:
+            check_trace_columns(
+                chunk_columns,
+                where=f"{self.members[members[0]].name} input trace",
+                offset=cursor,
+            )
+        deferred = [key for key in members if key in self._in_sample]
+        if deferred:
+            self._chunk_policy = policy
+            try:
+                self._intern_chunk(policy, chunk_columns, cursor, step)
+            except EstimatorError as failure:
+                step.failures.update(dict.fromkeys(deferred, failure))
         for key in self._live(step):
             try:
                 if key == _OVERLAP:
@@ -510,7 +601,8 @@ class PanelPass:
                 else:
                     member = self.members[key]
                     given = source if member.requires_propensities else None
-                    self._gathers[key].add(policy, chunk, given, cursor)
+                    model = key not in self._in_sample
+                    self._gathers[key].add(policy, chunk, given, cursor, True, model)
                     continue
             except EstimatorError as failure:
                 step.failures[key] = failure
@@ -522,6 +614,47 @@ class PanelPass:
             step.coverage.update(coverage)
         if self._live(step):
             step.sizes.append(len(chunk))
+
+    def _intern_chunk(self, policy, columns: TraceColumns, cursor: int, step) -> None:
+        """Write a chunked pass's per-chunk codes and rewards at *cursor*
+        and note the chunk's distinct contexts (with the new policy's
+        rows) and decisions in *step*, first seen first."""
+        if self._codes is None:  # an in-memory trace is its own view
+            return
+        contexts, context_firsts = columns.distinct_contexts()
+        decisions, decision_firsts = kernels.first_seen_codes(columns.decision_codes)
+        rows = policy.probability_matrix(columns.contexts)[context_firsts]
+        end = cursor + len(columns)
+        self._codes[0][cursor:end] = contexts
+        self._codes[1][cursor:end] = decisions
+        self._rewards[cursor:end] = columns.rewards
+        step.vocabularies.append(
+            (
+                cursor,
+                end,
+                [columns.contexts[first] for first in context_firsts.tolist()],
+                [columns.decisions[first] for first in decision_firsts.tolist()],
+                rows,
+            )
+        )
+
+    def _merge(self, step: _Tally) -> None:
+        """Fold a chunk run's tally into the pass, interning its chunks'
+        codes pass-globally (by value, in chunk order)."""
+        self._tally.merge(step)
+        for cursor, end, contexts, decisions, rows in step.vocabularies:
+            known = len(self._contexts)
+            table = _recode(self._codes[0][cursor:end], self._contexts, contexts)
+            _recode(self._codes[1][cursor:end], self._decisions, decisions)
+            self._rows.append(rows[table >= known])
+
+    def _score_block(self, positions: List[int], tally: _Tally) -> None:
+        """Score a contiguous run of planned chunks, read through the
+        trace's own ``iter_chunks`` over their record span."""
+        bounds = self._bounds
+        view = self.trace[bounds[positions[0]] : bounds[positions[-1] + 1]]
+        for position, chunk in zip(positions, view.iter_chunks()):
+            self._score(chunk, bounds[position], tally)
 
     def _run(self) -> _Tally:
         if self._tally is None:
@@ -560,25 +693,95 @@ class PanelPass:
         if self.overlap:
             self._old = _allocate(n, float, parallel)
             self._new = _allocate(n, float, parallel)
+        self._in_sample = {}
         for index in self._live():
             try:
                 if index != _OVERLAP:
-                    self.members[index]._stream_setup(self.policy, trace)
+                    member = self.members[index]
+                    member._stream_setup(self.policy, trace)
+                    model = member._in_sample_model()
+                    if model is not None:
+                        self._in_sample[index] = model
             except EstimatorError as failure:
                 failures[index] = failure
+        # A chunked pass fitting a model in-sample codes its records'
+        # contexts and decisions pass-globally and keeps their rewards.
+        self._codes = None
+        if chunked and self._in_sample:
+            self._codes = [_allocate(n, np.intp, parallel) for _ in range(2)]
+            self._rewards = _allocate(n, float, parallel)
+            self._contexts, self._decisions, self._rows = {}, {}, []
         self._length, self._quarantined = 0, 0
         if not self._live():
             return
         if parallel:
-            return self._stream_parallel(workers)
-        for chunk in trace.iter_chunks() if chunked else (trace,):
+            self._stream_parallel(workers)
+        elif self._stream_sequential(chunked):
+            self._quarantined = reconcile_shortfall(trace, self._length)
+        self._fit_in_sample(failures)
+
+    def _stream_sequential(self, chunked: bool) -> bool:
+        """Score every chunk in this process; ``False`` when every key
+        stopped before the end."""
+        for chunk in self.trace.iter_chunks() if chunked else (self.trace,):
             step = _Tally()
             self._score(chunk, self._length, step)
-            self._tally.merge(step)
+            self._merge(step)
             self._length += len(chunk)
             if not self._live():
-                return
-        self._quarantined = reconcile_shortfall(trace, self._length)
+                return False
+        return True
+
+    def _fit_in_sample(self, failures: Dict) -> None:
+        """Fit each live in-sample member's model on the pass (once per
+        model: a fitted model is not refit) and place its model columns.
+
+        The fit goes through the unchanged ``RewardModel.fit`` on the
+        in-memory trace itself, or on a column-born trace of a chunked
+        pass's interned codes and rewards; the model columns are the
+        member's own :meth:`_model_columns` over that whole trace at
+        offset 0, asked through the new policy's rows the chunks got.
+        """
+        keys = [key for key in self._live() if key in self._in_sample]
+        if not keys:
+            return
+        view, policy = self._view()
+        for key in keys:
+            gather, model = self._gathers[key], self._in_sample[key]
+            try:
+                if not model.fitted:
+                    model.fit(view)
+                free = {k: v[: self._length] for k, v in gather.buffers.items()}
+                columns = self.members[key]._model_columns(policy, view, 0, free)
+                gather.place(columns, self._length)
+            except EstimatorError as failure:
+                failures[key] = failure
+
+    def _view(self) -> Tuple[object, Policy]:
+        """The trace the in-sample fit reads, and the policy its model
+        columns ask."""
+        if self._codes is None:
+            return self.trace, self._chunk_policy
+        n = self._length
+        context_codes, decision_codes = (codes[:n] for codes in self._codes)
+        contexts, decisions = (
+            np.fromiter(index, dtype=object, count=len(index))
+            for index in (self._contexts, self._decisions)
+        )
+        missing = np.full(n, np.nan)
+        columns = TraceColumns(
+            self._rewards[:n],
+            missing,
+            missing,
+            tuple(decisions[decision_codes].tolist()),
+            tuple(contexts[context_codes].tolist()),
+            decision_codes,
+            tuple(decisions.tolist()),
+            feature_names=self.trace.feature_names(),
+            context_codes=context_codes,
+        )
+        rows = _PassRows(self.policy, self._contexts, np.concatenate(self._rows))
+        return Trace._from_columns(columns), _ChunkPolicy(rows, columns)
 
     def _stream_parallel(self, workers: int) -> None:
         """Fan the planned chunk spans over the caller and forked children.
@@ -590,36 +793,41 @@ class PanelPass:
         gather's column set and allocates its shared buffers, before it
         forks; it then scores the first block of the chunks after it
         (the larger, if uneven: a child starts a fork later) while the
-        children score theirs.  Block tallies merge in chunk order, so
-        first failures and the replayed chunk telemetry
+        children score theirs.  Every block reads its span through the
+        trace's ``iter_chunks``.  Block tallies merge in chunk order, so
+        first failures, interned codes and the replayed chunk telemetry
         (``store.chunk.records``, ``ope.stream.chunks``) match the
         sequential loop.
         """
         global _STREAM_CONTEXT
-        from repro.store.sharded import ShardChunk
 
-        plan, cursors = self.trace.plan_chunks(), []
+        plan, self._bounds = self.trace.plan_chunks(), []
         for _, lo, hi in plan:
-            cursors.append(self._length)
+            self._bounds.append(self._length)
             self._length += hi - lo
+        self._bounds.append(self._length)
         if self._length != len(self.trace):  # pragma: no cover - manifest/len invariant
             raise StoreError(
                 f"planned chunk spans cover {self._length} records of a trace "
                 f"reporting len() == {len(self.trace)}; the shard directory is corrupt"
             )
-        store, first = self.trace._store, _Tally()
-        self._score(ShardChunk(store, *plan[0]), 0, first)
-        self._tally.merge(first)
+        first = _Tally()
+        self._score_block([0], first)
+        self._merge(first)
         if not self._live():
             return
         rest = range(1, len(plan))
         blocks = _block_partition(rest, _effective_workers(workers, len(rest)))
-        _STREAM_CONTEXT = (self, store, plan, cursors)
+        blocks = _shard_aligned(blocks, plan)
+        _STREAM_CONTEXT = self
         try:
-            for payload in fork_blocks(_stream_block, blocks):
-                self._tally.merge(pickle.loads(payload))
+            # The caller runs the last block: children inherit the shard
+            # chunk 0 decoded, and the first block reads it.
+            payloads = list(fork_blocks(_stream_block, blocks[-1:] + blocks[:-1]))
         finally:
             _STREAM_CONTEXT = None
+        for payload in payloads[1:] + payloads[:1]:
+            self._merge(pickle.loads(payload))
 
 
 def stream_estimate(

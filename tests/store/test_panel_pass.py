@@ -1,7 +1,8 @@
 """One pass per panel: ``api.compare`` on a sharded trace.
 
-A panel's estimators and its overlap diagnostics share one read of each
-planned chunk, one reward-model fit and, when parallel, one fork pool.
+A panel's estimators, its in-sample reward-model fit and its overlap
+diagnostics share one read of each planned chunk and, when parallel, one
+fork pool.
 Everything they report must still equal the dense ``api.compare`` on the
 materialised trace, and a member's failure must stay that member's own.
 """
@@ -133,6 +134,11 @@ class TestOnePass:
     def test_each_chunk_is_decoded_once_to_fit_and_once_to_score(
         self, call, shard_dir, new_policy, workers, monkeypatch, tmp_path
     ):
+        """The fit and the scoring share one decode of each chunk.
+
+        The in-sample reward model is fit from the same pass that scores,
+        so a chunk's columns are decoded exactly once for both.
+        """
         log = tmp_path / "decoded"
         columns = ShardChunk.columns
 
@@ -152,7 +158,7 @@ class TestOnePass:
         report = REPORTS[call](trace, new_policy)
         lines = log.read_text().splitlines()
         decoded = Counter(tuple(map(int, line.split())) for line in lines)
-        assert decoded == {span: 2 for span in trace.plan_chunks()}
+        assert decoded == {span: 1 for span in trace.plan_chunks()}
         monkeypatch.undo()
         dense = REPORTS[call](_dense(shard_dir), new_policy)
         assert report.to_json() == dense.to_json()
